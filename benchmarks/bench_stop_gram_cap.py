@@ -76,7 +76,10 @@ def sweep_rung(num_rows: int, seed: int = 0) -> list[dict]:
             lowercase=config.lowercase,
             stop_gram_cap=cap,
         )
-        representatives = index.representatives(source_values)
+        per_row_grams, source_frequency = index.source_grams(source_values)
+        representatives = index.representatives_from(
+            per_row_grams, source_frequency
+        )
         candidates = emit_candidate_pairs(
             source_values,
             target_values,

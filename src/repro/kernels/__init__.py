@@ -5,7 +5,10 @@ are pure-Python object code; this package provides numpy-backed batch
 implementations of their per-block inner loops — bitset ops over covered-row
 masks (:mod:`repro.kernels.bitset`), per-edge candidate classification over
 row blocks (:mod:`repro.kernels.blocks`), and the block walkers composed
-from them (:mod:`repro.kernels.coverage`, :mod:`repro.kernels.apply`).
+from them (:mod:`repro.kernels.coverage`, :mod:`repro.kernels.apply`).  The
+row matchers have kernels too: the interned n-gram passes of the packed
+matcher (:mod:`repro.kernels.ngrams`) and setsim's posting filters
+(:mod:`repro.kernels.setsim`).
 
 The tier is **optional and byte-identical**: one capability probe at first
 use decides whether numpy is importable, and every kernel has a pure-Python

@@ -28,6 +28,18 @@ representatives), and each row's representative n-gram per size is computed
 once, up front — eliminating the per-row re-tokenisation, sorting and
 per-gram hash lookups of the original matcher.
 
+Two tiers, one behaviour.  Under the numpy kernel tier (:mod:`repro.kernels`)
+:meth:`InvertedIndex.build` interns every gram to an integer id in one
+vectorized pass per column (:mod:`repro.kernels.ngrams`), and the matcher's
+three passes — :meth:`~InvertedIndex.source_grams`,
+:meth:`~InvertedIndex.representatives_from` and the candidate emission —
+run on those ids.  The string-keyed tables are then built lazily, on the
+first call of the string API (:meth:`~InvertedIndex.rows_containing`,
+:meth:`~InvertedIndex.row_frequency`, ``in``, :meth:`~InvertedIndex.add`,
+:meth:`~InvertedIndex.prune_stop_grams`); the matcher never calls it.
+Under the pure-Python tier the string path below runs throughout; it is
+the executable spec the numpy tier reproduces value for value.
+
 :class:`ValueIndex` applies the same packed-postings idea to exact values
 (whole cells instead of n-grams); the transformation joiner uses it as its
 equi-join target map.
@@ -37,8 +49,19 @@ from __future__ import annotations
 
 from array import array
 from collections.abc import Sequence
-from typing import Final
+from typing import Any, Final
 
+from repro.kernels import numpy_or_none
+from repro.kernels.ngrams import (
+    GramTable,
+    Representatives,
+    SourceGrams,
+    build_gram_table,
+    count_source_grams,
+    representative_strings,
+    select_representatives,
+    string_tables,
+)
 from repro.matching.ngrams import unique_ngrams_by_size
 
 #: Shared empty posting list returned for unknown (or pruned) n-grams.
@@ -55,8 +78,8 @@ def _representative_of(
     Same arithmetic as ``scoring.representative_score`` so floating-point
     behaviour is identical to the reference matcher, and ties break towards
     the lexicographically smallest n-gram — which makes the selection
-    independent of the iteration order of *grams* (and therefore of the
-    per-process string-hash seed, a requirement of the sharded matcher).
+    independent of the iteration order of *grams*, and the same rule as the
+    numpy tier's smallest gram id.
     """
     best: str | None = None
     best_score = 0.0
@@ -83,6 +106,8 @@ class InvertedIndex:
         "_num_rows",
         "_num_pruned",
         "_last_row_id",
+        "_table",
+        "_lazy",
     )
 
     def __init__(
@@ -110,6 +135,10 @@ class InvertedIndex:
         self._num_rows = 0
         self._num_pruned = 0
         self._last_row_id = -1
+        #: The interned index of a numpy-tier build (None on the string path).
+        self._table: GramTable | None = None
+        #: True while the string tables of ``_table`` are not built yet.
+        self._lazy = False
 
     # ------------------------------------------------------------------ #
     # Construction
@@ -127,7 +156,9 @@ class InvertedIndex:
         """Index every row of *rows* (row ids are their positions).
 
         A single pass fills the packed postings and the row-frequency table;
-        stop-gram pruning (when enabled) runs once at the end.
+        stop-gram pruning (when enabled) runs once at the end.  Under the
+        numpy tier the pass interns the grams instead, and the string
+        tables wait until the string API first needs them.
         """
         index = cls(
             min_size=min_size,
@@ -135,85 +166,49 @@ class InvertedIndex:
             lowercase=lowercase,
             stop_gram_cap=stop_gram_cap,
         )
+        table: GramTable | None = None
+        if numpy_or_none() is not None:
+            table = build_gram_table(
+                rows,
+                min_size=min_size,
+                max_size=max_size,
+                lowercase=lowercase,
+                stop_gram_cap=stop_gram_cap,
+            )
+        if table is not None:
+            index._table = table
+            index._lazy = True
+            index._num_rows = len(rows)
+            index._last_row_id = len(rows) - 1
+            index._num_pruned = table.num_pruned
+            return index
         for row_id, text in enumerate(rows):
             index.add(row_id, text)
         index.prune_stop_grams()
         return index
 
-    @classmethod
-    def merged(
-        cls,
-        shards: Sequence["InvertedIndex"],
-        *,
-        stop_gram_cap: int = 0,
-    ) -> "InvertedIndex":
-        """Merge per-shard partial indexes into one, byte-identical to serial.
-
-        *shards* must be unpruned partial indexes over contiguous,
-        non-overlapping, increasing global row-id ranges (each built with
-        ``stop_gram_cap=0`` — pruning happens exactly once, here, with the
-        real cap).  The merge preserves the serial :meth:`build` result
-        exactly, including dict insertion order: a gram's first shard is the
-        shard holding its globally first row, shards are consumed in row
-        order, and within a shard grams appear in first-occurrence order —
-        so keys come out in global first-occurrence order, and posting
-        arrays concatenate ascending.
-        """
-        if not shards:
-            raise ValueError("merged() needs at least one shard index")
-        first = shards[0]
-        index = cls(
-            min_size=first._min_size,
-            max_size=first._max_size,
-            lowercase=first._lowercase,
-            stop_gram_cap=stop_gram_cap,
-        )
-        postings = index._postings
-        frequency = index._frequency
-        last_row_id = -1
-        num_rows = 0
-        for shard in shards:
-            if (
-                shard._min_size != first._min_size
-                or shard._max_size != first._max_size
-                or shard._lowercase != first._lowercase
-            ):
-                raise ValueError("shard indexes disagree on configuration")
-            if shard._num_pruned:
-                raise ValueError("shard indexes must be unpruned (cap 0)")
-            if shard._num_rows and shard._last_row_id <= last_row_id:
-                raise ValueError(
-                    "shard indexes must cover increasing row ranges"
-                )
-            for gram, arr in shard._postings.items():
-                existing = postings.get(gram)
-                if existing is None:
-                    # Adopt the shard's array: shards are throwaway carriers.
-                    postings[gram] = arr
-                    frequency[gram] = shard._frequency[gram]
-                else:
-                    existing.extend(arr)
-                    frequency[gram] += shard._frequency[gram]
-            if shard._num_rows:
-                last_row_id = shard._last_row_id
-            num_rows += shard._num_rows
-        index._num_rows = num_rows
-        index._last_row_id = last_row_id
-        index.prune_stop_grams()
-        return index
+    def _strings(self) -> None:
+        """Build the string tables of a numpy-built index, once."""
+        if self._lazy:
+            assert self._table is not None
+            self._postings, self._frequency = string_tables(self._table)
+            self._lazy = False
 
     def add(self, row_id: int, text: str) -> None:
         """Add one row's n-grams to the index.
 
         Rows must be added in strictly increasing row-id order so the packed
         posting arrays stay sorted (and duplicate-free) without ever being
-        re-sorted.
+        re-sorted.  Adding to a numpy-built index moves it to the string
+        path for good.
         """
         if row_id <= self._last_row_id:
             raise ValueError(
                 f"rows must be added in strictly increasing order; got row "
                 f"{row_id} after row {self._last_row_id}"
             )
+        self._strings()
+        self._table = None
         self._last_row_id = row_id
         postings = self._postings
         frequency = self._frequency
@@ -245,6 +240,7 @@ class InvertedIndex:
         cap = self._stop_gram_cap
         if cap <= 0:
             return 0
+        self._strings()
         postings = self._postings
         stop_grams = [gram for gram, arr in postings.items() if len(arr) > cap]
         for gram in stop_grams:
@@ -263,6 +259,8 @@ class InvertedIndex:
     @property
     def num_ngrams(self) -> int:
         """Number of distinct n-grams in the index (including pruned ones)."""
+        if self._table is not None:
+            return self._table.num_ids
         return len(self._frequency)
 
     @property
@@ -282,12 +280,14 @@ class InvertedIndex:
         must not mutate the result.  Unknown and pruned n-grams yield an
         empty sequence.
         """
+        self._strings()
         if self._lowercase:
             gram = gram.lower()
         return self._postings.get(gram, _EMPTY_POSTINGS)
 
     def row_frequency(self, gram: str) -> int:
         """Number of rows containing *gram* (O(1), exact even after pruning)."""
+        self._strings()
         if self._lowercase:
             gram = gram.lower()
         return self._frequency.get(gram, 0)
@@ -295,6 +295,7 @@ class InvertedIndex:
     def __contains__(self, gram: object) -> bool:
         if not isinstance(gram, str):
             return False
+        self._strings()
         if self._lowercase:
             gram = gram.lower()
         return gram in self._frequency
@@ -320,12 +321,15 @@ class InvertedIndex:
         sorting happens at match time.
         """
         per_row_grams, source_frequency = self.source_grams(source_values)
-        return self.representatives_from(per_row_grams, source_frequency)
+        representatives = self.representatives_from(per_row_grams, source_frequency)
+        if isinstance(representatives, Representatives):
+            return representative_strings(representatives, len(source_values))
+        return representatives
 
     def source_grams(
         self, source_values: Sequence[str]
-    ) -> tuple[list[list[list[str]]], dict[str, int]]:
-        """The counting pass of the fused Algorithm 1, split out for sharding.
+    ) -> tuple[list[list[list[str]]], dict[str, int]] | tuple[SourceGrams, Any]:
+        """The counting pass of the fused Algorithm 1.
 
         Tokenises every source row once, keeps only n-grams that occur in the
         target column (anything else has Rscore 0 and can never be a
@@ -333,11 +337,13 @@ class InvertedIndex:
         Returns ``(per_row_grams, source_frequency)`` where
         ``per_row_grams[row]`` holds one kept-gram list per n-gram size.
 
-        Selection needs the *global* frequencies, which no single row shard
-        can compute — so the sharded matcher runs this once in the parent and
-        shares both outputs with the workers, which then only score and emit
-        (no re-tokenisation anywhere).
+        On a numpy-built index the grams are (row, target gram id) arrays
+        and the frequencies a count per gram id
+        (:func:`~repro.kernels.ngrams.count_source_grams`); either way the
+        pair is what :meth:`representatives_from` takes.
         """
+        if self._table is not None:
+            return count_source_grams(self._table, source_values)
         target_frequency = self._frequency
         source_frequency: dict[str, int] = {}
         per_row_grams: list[list[list[str]]] = []
@@ -355,26 +361,27 @@ class InvertedIndex:
 
     def representatives_from(
         self,
-        per_row_grams: Sequence[Sequence[Sequence[str]]],
-        source_frequency: dict[str, int],
-        *,
-        start: int = 0,
-        stop: int | None = None,
-    ) -> list[list[str]]:
-        """The selection pass: representatives of rows ``[start, stop)``.
+        per_row_grams: Sequence[Sequence[Sequence[str]]] | SourceGrams,
+        source_frequency: dict[str, int] | Any,
+    ) -> list[list[str]] | Representatives:
+        """The selection pass: every row's representatives.
 
-        Operates on the outputs of :meth:`source_grams`.  Row shards
-        evaluated this way concatenate to exactly the full
-        :meth:`representatives` output: selection is per-row and the
-        tie-breaking of :func:`_representative_of` is order-independent.
+        Operates on the outputs of :meth:`source_grams`.  On a numpy-built
+        index the result is the id form
+        (:class:`~repro.kernels.ngrams.Representatives`), which the
+        matcher's candidate emission scans without building any string.
         """
-        if stop is None:
-            stop = len(per_row_grams)
+        if isinstance(per_row_grams, SourceGrams):
+            assert self._table is not None
+            return select_representatives(
+                self._table, per_row_grams, source_frequency
+            )
+        assert isinstance(source_frequency, dict)
         target_frequency = self._frequency
         representatives: list[list[str]] = []
-        for row in range(start, stop):
+        for per_size in per_row_grams:
             row_representatives: list[str] = []
-            for kept in per_row_grams[row]:
+            for kept in per_size:
                 best = _representative_of(kept, source_frequency, target_frequency)
                 if best is not None:
                     row_representatives.append(best)

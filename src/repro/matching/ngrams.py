@@ -41,16 +41,16 @@ def unique_ngrams_by_size(
     One list per size, smallest size first, grams in first-occurrence order;
     sizes larger than the text yield nothing (the iteration simply stops, as
     in Algorithm 1's scan).  This is the tokenisation primitive of the
-    packed inverted index: the text is lower-cased once (not once per size)
-    and each size is extracted in a single sweep.
+    packed inverted index's string path: the text is lower-cased once (not
+    once per size) and each size is extracted in a single sweep.
 
     The dedup is *order-preserving* (``dict.fromkeys``), not a set: gram
     enumeration order feeds the index's postings-dict insertion order, and a
     set's iteration order depends on the per-interpreter string hash seed —
     first-occurrence order makes index builds reproducible across
-    interpreters, which is what lets the process-sharded build
-    (:mod:`repro.parallel.index_build`) merge to a byte-identical index
-    even under the ``spawn`` start method.
+    interpreters, and is the order the numpy tier's interned index
+    (:mod:`repro.kernels.ngrams`) reproduces when it builds its string
+    tables.
     """
     if min_size <= 0:
         raise ValueError(f"min n-gram size must be positive, got {min_size}")

@@ -11,9 +11,13 @@ The implementation is the packed fast path: one
 n-grams computed per source row at build time via
 :meth:`~repro.matching.index.InvertedIndex.representatives`, and candidate
 enumeration by scanning the representatives' posting arrays in order — no
-per-row re-tokenisation, no sorting, no posting-set copies.  With the
-default configuration it returns bit-identical pairs (same pairs, same
-order) to the seed implementation preserved in
+per-row re-tokenisation, no sorting, no posting-set copies.  Under the
+numpy kernel tier the index interns every gram to an integer id and the
+three passes run as array operations (:mod:`repro.kernels.ngrams`); the
+pure-Python tier runs the string-keyed path, and both give the same pairs.
+The matcher runs serially: the interned pass leaves nothing worth
+sharding.  With the default configuration it returns bit-identical pairs
+(same pairs, same order) to the seed implementation preserved in
 :class:`repro.matching.reference.ReferenceRowMatcher`; enabling the
 opt-in ``stop_gram_cap`` trades some candidate recall (pairs reachable only
 through a stop-gram representative) for bounded posting scans.
@@ -30,9 +34,10 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from repro.core.pairs import RowPair
+from repro.kernels.ngrams import Representatives, candidate_rows
 from repro.matching.index import InvertedIndex
 from repro.matching.tokenize import TOKENIZERS
-from repro.parallel.executor import env_default_workers, tuned_num_workers
+from repro.parallel.executor import env_default_workers
 from repro.table.table import Table
 
 #: Matching engines :func:`create_row_matcher` can build: "ngram" is
@@ -61,23 +66,23 @@ class MatchingConfig:
     sweep in ``benchmarks/bench_stop_gram_cap.py`` measures the
     recall/runtime trade-off of enabling it.
 
-    ``num_workers`` shards source rows across worker processes (1 = serial,
-    0 = all cores; the default honours ``REPRO_NUM_WORKERS``).  Candidate
-    pairs are identical to the serial matcher — same pairs, same order,
-    including Rscore ties — because representative selection runs against
-    global source frequencies computed once in the parent.
+    ``num_workers`` shards the setsim engine's source rows across worker
+    processes (1 = serial, 0 = all cores; the default honours
+    ``REPRO_NUM_WORKERS``); candidate pairs are identical to its serial
+    path.  The ngram engine accepts it and always runs serially — the
+    same pairs at any worker count.
 
-    ``min_rows_per_worker`` is the small-input fast path: when the source
-    rows per worker fall below it (or the host has a single core), the pool
-    is skipped and the serial path runs — identical pairs, none of the fork
-    cost.  ``None`` reads ``REPRO_MIN_ROWS_PER_WORKER`` (default
-    :data:`~repro.parallel.executor.DEFAULT_MIN_ITEMS_PER_WORKER`); 0
-    disables the tuning.
+    ``min_rows_per_worker`` is the setsim engine's small-input fast path:
+    when the source rows per worker fall below it (or the host has a single
+    core), the pool is skipped and the serial path runs — identical pairs,
+    none of the fork cost.  ``None`` reads ``REPRO_MIN_ROWS_PER_WORKER``
+    (default :data:`~repro.parallel.executor.DEFAULT_MIN_ITEMS_PER_WORKER`);
+    0 disables the tuning.
 
     ``task_timeout_s`` / ``shard_retries`` / ``serial_fallback`` configure
-    the sharded path's fault tolerance (submission-time deadline per map,
-    pool retries per failed shard, and the serial inline fallback that keeps
-    a flaky pool's results byte-identical); see
+    the sharded setsim path's fault tolerance (submission-time deadline per
+    map, pool retries per failed shard, and the serial inline fallback that
+    keeps a flaky pool's results byte-identical); see
     :class:`~repro.parallel.executor.ShardedExecutor`.  ``task_timeout_s``
     0 means unbounded.
 
@@ -89,8 +94,7 @@ class MatchingConfig:
     engine only: the similarity measure and its threshold (jaccard/cosine in
     (0, 1], overlap an absolute token count >= 1), and the tokenization
     ("whitespace" for token-rich strings, "qgram" for short keys, with
-    ``setsim_qgram`` the q).  Both engines share ``lowercase`` and all the
-    sharding/fault-tolerance knobs.
+    ``setsim_qgram`` the q).  Both engines share ``lowercase``.
     """
 
     min_ngram: int = 4
@@ -174,31 +178,41 @@ def emit_candidate_pairs(
     source_values: Sequence[str],
     target_values: Sequence[str],
     target_index: InvertedIndex,
-    representatives: Sequence[Sequence[str]],
+    representatives: Sequence[Sequence[str]] | Representatives,
     max_candidates_per_row: int,
-    *,
-    row_offset: int = 0,
 ) -> list[RowPair]:
     """Emit candidate pairs by scanning the representatives' posting arrays.
 
-    The emission loop of the packed matcher, shared by the serial path (all
-    rows, ``row_offset=0``) and the sharded path (a contiguous slice of the
-    source rows, with *row_offset* restoring global source-row ids).
-    *representatives* is aligned with *source_values*; emission is per-row,
-    so shard outputs concatenate to exactly the serial output.
+    The emission loop of the packed matcher.  *representatives* is aligned
+    with *source_values*: gram strings from the string path, or the id form
+    a numpy-built index selects, whose posting ranges
+    :func:`~repro.kernels.ngrams.candidate_rows` expands — the same pairs in
+    the same order.
     """
+    if isinstance(representatives, Representatives):
+        source_rows, target_rows = candidate_rows(
+            representatives, max_candidates_per_row, len(target_values)
+        )
+        return [
+            RowPair(
+                source=source_values[source_row],
+                target=target_values[target_row],
+                source_row=source_row,
+                target_row=target_row,
+            )
+            for source_row, target_row in zip(source_rows, target_rows)
+        ]
     pairs: list[RowPair] = []
     append_pair = pairs.append
     cap = max_candidates_per_row
-    for local_row, source_text in enumerate(source_values):
-        source_row = row_offset + local_row
+    for source_row, source_text in enumerate(source_values):
         # A source row can never repeat a candidate (representatives'
         # postings are deduplicated below), so no (source, target) pair
         # can occur twice — candidate dedup per row is all that's needed.
         seen: set[int] = set()
         seen_add = seen.add
         emitted = 0
-        for representative in representatives[local_row]:
+        for representative in representatives[source_row]:
             if cap and emitted >= cap:
                 # The reference truncates the candidate list to its first
                 # `cap` entries; later candidates can be skipped entirely.
@@ -283,66 +297,23 @@ class NGramRowMatcher(RowMatcher):
         once, compute every source row's representative n-grams in a fused
         build pass, then emit candidates by scanning the representatives'
         sorted posting arrays (size-major, ascending row id — the exact
-        order of the reference implementation).
-
-        With ``num_workers`` above 1 the selection and emission are sharded
-        over source rows (:mod:`repro.parallel.matching`); the returned pairs
-        are identical either way.
+        order of the reference implementation).  Under the numpy tier all
+        three passes run on interned gram ids.
         """
         config = self._config
         source_values = list(source_values)
         target_values = list(target_values)
-        # The index build shards over target rows (byte-identical merge; see
-        # repro.parallel.index_build) under the same worker tuning that
-        # gates the matching shards, but sized by the *target* column.
-        index_workers = tuned_num_workers(
-            config.num_workers,
-            len(target_values),
-            min_items_per_worker=config.min_rows_per_worker,
+        target_index = InvertedIndex.build(
+            target_values,
+            min_size=config.min_ngram,
+            max_size=config.max_ngram,
+            lowercase=config.lowercase,
+            stop_gram_cap=config.stop_gram_cap,
         )
-        if index_workers > 1:
-            from repro.parallel.index_build import sharded_index_build
-
-            target_index = sharded_index_build(
-                target_values,
-                min_size=config.min_ngram,
-                max_size=config.max_ngram,
-                lowercase=config.lowercase,
-                stop_gram_cap=config.stop_gram_cap,
-                num_workers=index_workers,
-                task_timeout=config.task_timeout_s or None,
-                max_shard_retries=config.shard_retries,
-                serial_fallback=config.serial_fallback,
-            )
-        else:
-            target_index = InvertedIndex.build(
-                target_values,
-                min_size=config.min_ngram,
-                max_size=config.max_ngram,
-                lowercase=config.lowercase,
-                stop_gram_cap=config.stop_gram_cap,
-            )
-        # Small-input fast path: more workers than the input justifies
-        # (or a single-core host) fall back to the serial emission.
-        num_workers = tuned_num_workers(
-            config.num_workers,
-            len(source_values),
-            min_items_per_worker=config.min_rows_per_worker,
+        per_row_grams, source_frequency = target_index.source_grams(source_values)
+        representatives = target_index.representatives_from(
+            per_row_grams, source_frequency
         )
-        if num_workers > 1 and target_values:
-            from repro.parallel.matching import sharded_match
-
-            return sharded_match(
-                target_index,
-                source_values,
-                target_values,
-                max_candidates_per_row=config.max_candidates_per_row,
-                num_workers=num_workers,
-                task_timeout=config.task_timeout_s or None,
-                max_shard_retries=config.shard_retries,
-                serial_fallback=config.serial_fallback,
-            )
-        representatives = target_index.representatives(source_values)
         return emit_candidate_pairs(
             source_values,
             target_values,

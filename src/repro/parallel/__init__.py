@@ -12,8 +12,9 @@ byte-identical to the serial engines (which remain the executable spec):
 * :mod:`repro.parallel.coverage` — row-sharded batched coverage (identical
   covered rows always, identical cache statistics from a cold cache —
   workers never see a computer's warmed persistent cache);
-* :mod:`repro.parallel.matching` — source-row-sharded candidate matching
-  (identical pairs, order and Rscore tie behaviour);
+* :mod:`repro.parallel.setsim` — source-row-sharded set-similarity
+  matching (identical pairs and pruning statistics; the n-gram matcher
+  runs serially);
 * :mod:`repro.parallel.transform` — source-row-sharded batch
   transformation for the apply-only path of the artifact layer (identical
   outputs, ascending row order per transformation).

@@ -1,9 +1,9 @@
 """The shared-index process executor behind the sharded engines.
 
-Both hot stages of the pipeline — batched coverage and row matching — are
-embarrassingly parallel over rows, but the read-only structures they walk
-(the frozen unit-prefix trie, the packed
-:class:`~repro.matching.index.InvertedIndex`) are large, and shipping them
+The sharded stages of the pipeline — batched coverage, set-similarity
+matching, batch apply — are embarrassingly parallel over rows, but the
+read-only structures they walk (the frozen unit-prefix trie, the
+:class:`~repro.matching.setsim.SetSimIndex`) are large, and shipping them
 with every task would drown the win in serialization.  The
 :class:`ShardedExecutor` therefore shares that state with the pool exactly
 once per run:

@@ -283,12 +283,13 @@ class BenchmarkRunner:
             "total_s": elapsed,
             "num_pairs": len(pairs),
             "num_workers": num_workers,
-            # What the small-input fast path actually ran with (matching
-            # shards over source rows) — the honest denominator for any
-            # parallel-efficiency reading of this record.
+            # What actually ran — the honest denominator for any
+            # parallel-efficiency reading of this record: setsim shards
+            # over source rows (subject to the small-input fast path), the
+            # n-gram engines always run serially.
             "effective_workers": tuned_num_workers(
                 num_workers, len(source_values)
-            ),
+            ) if isinstance(matcher, SetSimRowMatcher) else 1,
             **extra,
         }
         return record, pairs
@@ -409,8 +410,10 @@ class BenchmarkRunner:
                     # The seed engine is O(slow); cap how far up the ladder it
                     # climbs.  The packed engine still records the rung.
                     continue
-                # The workers axis applies to the sharded engines (packed,
-                # setsim); the seed engine is the serial executable spec.
+                # The workers axis applies to the engines that take a worker
+                # count (packed discovery shards coverage, setsim shards
+                # matching; packed matching ignores it and must come out
+                # identical); the seed engine is the serial executable spec.
                 worker_counts = (1,) if engine == "seed" else self.workers
                 for num_workers in worker_counts:
                     label = engine if num_workers == 1 else f"{engine}-w{num_workers}"

@@ -14,20 +14,17 @@ approximate, at three levels:
   pinned to ``Transformation.apply`` row by row;
 * **engine level** — ``CoverageComputer`` produces identical coverage
   under ``use_tier("python")`` and ``use_tier("numpy")`` across worker
-  counts {1, 2, 3}, and the sharded matching-index build reproduces the
-  serial ``InvertedIndex`` byte for byte (postings *dict order* included)
-  under fork and spawn — the spawn case is what caught the string-hash-seed
-  ordering bug fixed in ``unique_ngrams_by_size``.
+  counts {1, 2, 3}.  The n-gram matching kernels have their own
+  differential suite, ``test_property_ngram_kernel.py``.
 
 numpy-vs-python cases skip themselves when the numpy tier is not active;
 the CI forced-fallback leg (``REPRO_KERNELS=python``) still runs the
-tier-independent cases — dispatch plumbing, sharded index identity — so the
-override path is exercised, not just the tier it selects.
+tier-independent cases — dispatch plumbing — so the override path is
+exercised, not just the tier it selects.
 """
 
 from __future__ import annotations
 
-import random
 import string
 
 import pytest
@@ -44,7 +41,6 @@ from repro.core.pairs import pairs_from_strings
 from repro.core.transformation import Transformation
 from repro.core.units import Literal, Split, SplitSubstr, Substr
 from repro.kernels import bitset, blocks
-from repro.matching.index import InvertedIndex
 from repro.model.apply import _transform_trie_rows_python
 
 NUMPY_TIER = kernels.numpy_or_none() is not None
@@ -304,75 +300,6 @@ def test_coverage_computer_tier_equivalence(
         )
 
     assert masks("numpy") == masks("python")
-
-
-def _synthetic_rows(count: int) -> list[str]:
-    rng = random.Random(7)
-    words = ["alpha", "beta", "gamma", "delta", "omega", "zeta", "theta"]
-    return [
-        " ".join(rng.choice(words) for _ in range(rng.randint(1, 5)))
-        + str(rng.randint(0, 999))
-        for _ in range(count)
-    ]
-
-
-@pytest.mark.parametrize("start_method", ["fork", "spawn"])
-@pytest.mark.parametrize("stop_gram_cap", [0, 40])
-def test_sharded_index_build_byte_identical(start_method, stop_gram_cap):
-    """The merged sharded index equals the serial build byte for byte —
-    including the *insertion order* of the postings dict, which is what the
-    string-hash-seed bug broke under spawn before ``unique_ngrams_by_size``
-    switched to order-preserving dedup."""
-    import multiprocessing
-
-    from repro.parallel.index_build import sharded_index_build
-
-    if start_method not in multiprocessing.get_all_start_methods():
-        pytest.skip(f"start method {start_method} unavailable")
-    rows = _synthetic_rows(300)
-    serial = InvertedIndex.build(
-        rows, min_size=4, max_size=8, lowercase=True, stop_gram_cap=stop_gram_cap
-    )
-    for num_workers in WORKER_COUNTS:
-        sharded = sharded_index_build(
-            rows,
-            min_size=4,
-            max_size=8,
-            lowercase=True,
-            stop_gram_cap=stop_gram_cap,
-            num_workers=num_workers,
-            start_method=start_method,
-        )
-        assert sharded.num_rows == serial.num_rows
-        assert list(sharded._postings) == list(serial._postings)
-        for gram, postings in serial._postings.items():
-            assert list(sharded._postings[gram]) == list(postings)
-        assert sharded._frequency == serial._frequency
-
-
-@pytest.mark.parametrize("tier", ["python", "numpy"])
-def test_sharded_index_build_tier_invariant(tier):
-    """The index build is string work, not array work — but it runs inside
-    tier-dispatched engines, so pin that both tiers leave it untouched."""
-    if tier == "numpy" and not NUMPY_TIER:
-        pytest.skip("numpy tier not active")
-    from repro.parallel.index_build import sharded_index_build
-
-    rows = _synthetic_rows(120)
-    with kernels.use_tier(tier):
-        serial = InvertedIndex.build(
-            rows, min_size=4, max_size=7, lowercase=True, stop_gram_cap=30
-        )
-        sharded = sharded_index_build(
-            rows,
-            min_size=4,
-            max_size=7,
-            lowercase=True,
-            stop_gram_cap=30,
-            num_workers=2,
-        )
-    assert list(sharded._postings) == list(serial._postings)
-    assert sharded._frequency == serial._frequency
 
 
 @settings(deadline=None, max_examples=25)

@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import pytest
 
+from repro import kernels
 from repro.core.pairs import RowPair
+from repro.matching import index as index_module
+from repro.matching import row_matcher
 from repro.matching.index import InvertedIndex
 from repro.matching.ngrams import character_ngrams, ngrams_in_range, unique_ngrams
 from repro.matching.row_matcher import (
@@ -238,6 +241,56 @@ class TestNGramRowMatcher:
             ["aaaaaa", "bbbbbb"], ["cccccc", "dddddd"]
         )
         assert pairs == []
+
+
+class TestMatchPasses:
+    """The four passes of ``match_values`` are the spans a traced benchmark
+    run wraps: each must run exactly once per match, on both tiers."""
+
+    @pytest.mark.parametrize("tier", ["python", "numpy"])
+    @pytest.mark.parametrize("num_workers", [1, 2])
+    def test_each_pass_runs_once_per_match(self, monkeypatch, tier, num_workers):
+        if tier == "numpy" and kernels.numpy_or_none() is None:
+            pytest.skip("numpy tier not active")
+        calls: dict[str, int] = {}
+
+        def spy(name, function):
+            def counted(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return function(*args, **kwargs)
+
+            return counted
+
+        build = InvertedIndex.__dict__["build"]
+        monkeypatch.setattr(
+            InvertedIndex, "build", classmethod(spy("build", build.__func__))
+        )
+        for name in ("source_grams", "representatives_from"):
+            monkeypatch.setattr(
+                InvertedIndex, name, spy(name, InvertedIndex.__dict__[name])
+            )
+        monkeypatch.setattr(
+            row_matcher,
+            "emit_candidate_pairs",
+            spy("emit", row_matcher.emit_candidate_pairs),
+        )
+        # The matcher never needs the string tables of a numpy-built index.
+        monkeypatch.setattr(
+            index_module, "string_tables", spy("string_tables", index_module.string_tables)
+        )
+        matcher = NGramRowMatcher(
+            MatchingConfig(min_ngram=3, max_ngram=6, num_workers=num_workers,
+                           min_rows_per_worker=0)
+        )
+        with kernels.use_tier(tier):
+            pairs = matcher.match_values(
+                ["Rafiei, Davood", "Bowling, Michael"],
+                ["D Rafiei", "M Bowling", "S Gosgnach"],
+            )
+        assert [(p.source_row, p.target_row) for p in pairs] == [(0, 0), (1, 1)]
+        assert calls == {
+            "build": 1, "source_grams": 1, "representatives_from": 1, "emit": 1,
+        }
 
 
 class TestGoldenRowMatcher:
