@@ -56,16 +56,21 @@ Rows are mutually independent (every structure above is per-row), which makes
 the batch engine embarrassingly parallel: with ``num_workers > 1`` the rows
 are sharded across a process pool that shares the frozen trie — including the
 anchor posting table, so the prefilter shards exactly
-(:mod:`repro.parallel.coverage`).  Covered rows are byte-identical to the
-serial walk always; the cache statistics are byte-identical too when both
-walks start from the same cache state — workers always start cold, so on a
-warm computer (a prior ``coverage_of`` call populated the persistent per-row
-sets) the serial walk counts warm hits the sharded walk cannot see.  The
-batch walk *consults* the persistent per-row sets when they are warm but no
-longer writes newly-found non-covering units back into them: on the dominant
-cold path those writes were pure overhead (one hash-and-insert per failing
-(unit, row) that no later batch step ever read), and dropping them keeps the
-batch and sharded paths trivially identical.
+(:mod:`repro.parallel.coverage`).  Covered rows and cache statistics are
+byte-identical to the serial walk.  The batch walk *consults* the persistent
+per-row sets when they are warm (a prior ``coverage_of`` call filled them)
+but never writes them, and warm sets never change a result: an entry records
+that a unit's output for a row is ``None`` or not in the target, a pure
+function of (unit, row) that the walk would compute anyway.  So warm serial,
+cold serial and sharded walks (workers start cold) all agree, and the numpy
+kernel may ignore the sets altogether.
+
+The walk has two tiers (:func:`_walk_trie_rows` picks one).  The pure-Python
+walker below is the executable spec.  Under the numpy tier,
+:mod:`repro.kernels.coverage` walks the trie one depth at a time for all rows
+of a block, over code-point arrays, reading the trie through the CSR layout
+:class:`TrieArrays` that :func:`_build_unit_trie` emits; it returns the
+spec's exact covered rows and statistics.
 
 Covered-row sets are returned as packed integer bitmasks
 (:attr:`CoverageResult.covered_mask`, bit *r* = row *r* covered), the
@@ -81,6 +86,7 @@ from collections import deque
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from time import monotonic
+from typing import NamedTuple
 
 from repro.core.pairs import RowPair
 from repro.core.stats import DiscoveryStats
@@ -238,6 +244,51 @@ def _unit_op(
     return _OP_APPLY, (unit.apply,)
 
 
+#: Ints per edge in :attr:`TrieArrays.edges`: opcode, child node, subtree
+#: size, required-set id, and four opcode arguments (see :func:`_edge_args`).
+EDGE_FIELDS = 8
+
+
+def _edge_args(op: int, args: tuple, anchor_id: int) -> tuple[int, int, int, int]:
+    """The four integer arguments of an edge in :attr:`TrieArrays.edges`.
+
+    Split-family and substring units become ``(delimiter id, piece index,
+    start, end)`` — delimiter id -1 means the piece is the whole source, end
+    -1 means the whole piece — and literals ``(anchor text id, length, 0,
+    -1)`` (text id -1 for the empty literal).  TwoCharSplitSubstr and
+    fallback units carry no numeric arguments: the kernel applies them.
+    """
+    if op == _OP_LITERAL:
+        return anchor_id, len(args[0]), 0, -1
+    if op == _OP_SUBSTR:
+        return -1, 0, args[0], args[1]
+    if op == _OP_SPLIT:
+        return args[2], args[1], 0, -1
+    if op == _OP_SPLITSUBSTR:
+        return args[4], args[1], args[2], args[3]
+    return -1, 0, 0, -1
+
+
+class TrieArrays(NamedTuple):
+    """The unit trie laid out as flat arrays (CSR) for array kernels.
+
+    Nodes are numbered in post-order, so the root is the last node.  Node
+    *n*'s child edges are ``node_edges[n]:node_edges[n + 1]`` and the
+    transformations ending at it ``terminals[node_terminals[n]:
+    node_terminals[n + 1]]``.  Edge *e* occupies ``edges[EDGE_FIELDS * e:
+    EDGE_FIELDS * (e + 1)]``: opcode, child node, subtree size, required-set
+    id (-1 for none), then :func:`_edge_args`; ``units[e]`` is its unit and
+    ``delimiters`` the interned split delimiters.
+    """
+
+    node_edges: list[int]
+    node_terminals: list[int]
+    terminals: list[int]
+    edges: list[int]
+    units: list[TransformationUnit]
+    delimiters: list[str]
+
+
 class _TrieNode:
     """One node of the unit-prefix trie used by the batched coverage path."""
 
@@ -306,9 +357,11 @@ class PackedTrie:
     remainder in O(1)), ``root_slice_groups`` (SplitSubstr/Substr-first
     edges grouped by the piece they slice, members sorted by slice end with
     suffix subtree sums for one-bisect bulk skips), and
-    ``root_other_edges`` (everything else, walked normally).  The object is
-    read-only after construction and pickles cheaply, so the
-    process-sharded engine ships it to workers once per run.
+    ``root_other_edges`` (everything else, walked normally).  ``arrays`` is
+    the same trie as flat CSR arrays (:class:`TrieArrays`) for the numpy
+    kernel.  The object is read-only after construction and pickles
+    cheaply, so the process-sharded engine ships it to workers once per
+    run.
     """
 
     __slots__ = (
@@ -324,6 +377,7 @@ class PackedTrie:
         "root_literal_total",
         "root_slice_groups",
         "root_other_edges",
+        "arrays",
     )
 
     def __init__(
@@ -335,6 +389,7 @@ class PackedTrie:
         req_sets: list[tuple[int, ...]],
         num_units: int,
         num_delimiters: int,
+        arrays: TrieArrays,
     ) -> None:
         self.root_edges = root_edges
         self.root_terminals = root_terminals
@@ -343,6 +398,7 @@ class PackedTrie:
         self.req_sets = req_sets
         self.num_units = num_units
         self.num_delimiters = num_delimiters
+        self.arrays = arrays
         self.automaton = _build_anchor_automaton(anchor_texts)
         # Root split: a non-empty literal-first edge can only matter for
         # rows whose target contains its text, so those edges are reached
@@ -413,6 +469,7 @@ class PackedTrie:
             self.req_sets,
             self.num_units,
             self.num_delimiters,
+            self.arrays,
         )
 
     def __setstate__(self, state) -> None:
@@ -430,7 +487,8 @@ def _build_unit_trie(transformations: Sequence[Transformation]) -> PackedTrie:
     walker account for a whole skipped subtree in O(1); ``req_id`` indexes
     the interned set of anchor-literal text ids that *every* transformation
     below the edge requires (-1 when the set is empty, i.e. when the
-    prefilter has nothing to check).
+    prefilter has nothing to check).  The same pass emits the trie's
+    :class:`TrieArrays`.
     """
     canonical: dict[TransformationUnit, TransformationUnit] = {}
     root = _TrieNode()
@@ -462,17 +520,30 @@ def _build_unit_trie(transformations: Sequence[Transformation]) -> PackedTrie:
             req_sets.append(tuple(sorted(required)))
         return req_id
 
-    def freeze(node: _TrieNode) -> tuple[list, list[int], int, frozenset[int]]:
+    # The CSR layout (TrieArrays) is emitted by the same pass: a node's
+    # edges are appended after its whole subtree, so they are contiguous
+    # and every child's node id is known when its edge is written.
+    node_edges = [0]
+    node_terminals = [0]
+    terminals: list[int] = []
+    edge_table: list[int] = []
+    edge_units: list[TransformationUnit] = []
+
+    def freeze(node: _TrieNode) -> tuple[list, list[int], int, frozenset[int], int]:
         subtree = len(node.terminals)
         edges = []
         edge_requirements: list[frozenset[int]] = []
+        fields: list[int] = []
         for unit, child in node.children.items():
-            child_edges, child_terminals, child_size, child_required = freeze(child)
+            child_edges, child_terminals, child_size, child_required, child_id = (
+                freeze(child)
+            )
             subtree += child_size
             anchor = unit.anchor_text
+            text_id = -1
             if anchor is not None:
-                text_id = text_ids.get(anchor)
-                if text_id is None:
+                text_id = text_ids.get(anchor, -1)
+                if text_id < 0:
                     text_id = len(anchor_texts)
                     text_ids[anchor] = text_id
                     anchor_texts.append(anchor)
@@ -481,6 +552,7 @@ def _build_unit_trie(transformations: Sequence[Transformation]) -> PackedTrie:
                 required = child_required
             op, args = _unit_op(unit, delimiter_ids)
             ordinal = unit_ordinals.setdefault(id(unit), len(unit_ordinals))
+            req_id = intern_req(required)
             edges.append(
                 (
                     ordinal,
@@ -489,20 +561,27 @@ def _build_unit_trie(transformations: Sequence[Transformation]) -> PackedTrie:
                     child_edges,
                     child_terminals,
                     child_size,
-                    intern_req(required),
+                    req_id,
                     unit,
                 )
             )
+            fields += (op, child_id, child_size, req_id)
+            fields += _edge_args(op, args, text_id)
             edge_requirements.append(required)
+        edge_table.extend(fields)
+        edge_units.extend(node.children)
+        node_edges.append(len(edge_units))
+        terminals.extend(node.terminals)
+        node_terminals.append(len(terminals))
         if node.terminals or not edge_requirements:
             # A transformation ends here: nothing below this node is common
             # to every transformation passing through it.
             node_required: frozenset[int] = frozenset()
         else:
             node_required = frozenset.intersection(*edge_requirements)
-        return edges, node.terminals, subtree, node_required
+        return edges, node.terminals, subtree, node_required, len(node_edges) - 2
 
-    root_edges, root_terminals, size, _ = freeze(root)
+    root_edges, root_terminals, size, _, _ = freeze(root)
     return PackedTrie(
         root_edges,
         root_terminals,
@@ -511,6 +590,14 @@ def _build_unit_trie(transformations: Sequence[Transformation]) -> PackedTrie:
         req_sets,
         len(unit_ordinals),
         len(delimiter_ids),
+        TrieArrays(
+            node_edges,
+            node_terminals,
+            terminals,
+            edge_table,
+            edge_units,
+            list(delimiter_ids),
+        ),
     )
 
 
@@ -530,23 +617,23 @@ def _walk_trie_rows(
 ) -> tuple[dict[int, list[int]], int, int, int, int]:
     """Walk the unit trie via the active kernel tier.
 
-    Dispatches to the numpy block walker
+    Dispatches to the level-synchronous numpy kernel
     (:func:`repro.kernels.coverage.walk_trie_rows_numpy`) when the numpy
-    tier is active and capable, else to the pure-Python reference below.
-    The dispatch sits *inside* this function so every caller — the serial
-    engine, the process-sharded workers, tests calling the walker directly —
-    inherits the tier transparently; both walkers return byte-identical
-    covered rows and statistics (the kernel property tests assert it).
+    tier is active, else to the pure-Python spec below.  The dispatch sits
+    *inside* this function so every caller — the serial engine, the
+    process-sharded workers, tests calling the walker directly — inherits
+    the tier transparently; both return byte-identical covered rows and
+    statistics (``tests/property/test_property_coverage_kernel.py`` asserts
+    it).
     """
     from repro import kernels
 
     if kernels.active_tier() == "numpy":
-        from repro.kernels.coverage import available, walk_trie_rows_numpy
+        from repro.kernels.coverage import walk_trie_rows_numpy
 
-        if available():
-            return walk_trie_rows_numpy(
-                pairs, row_offset, trie, non_covering_units, use_cache, deadline
-            )
+        return walk_trie_rows_numpy(
+            pairs, row_offset, trie, non_covering_units, use_cache, deadline
+        )
     return _walk_trie_rows_python(
         pairs, row_offset, trie, non_covering_units, use_cache, deadline
     )
@@ -1107,12 +1194,11 @@ class CoverageComputer:
         ``REPRO_NUM_WORKERS`` environment variable).  Rows are sharded across
         a :class:`~repro.parallel.executor.ShardedExecutor` that shares the
         frozen unit trie with the workers; because every cache in the walk is
-        per-row, covered rows are identical to the serial engine, and so are
-        the cache statistics on a cold computer.  The sharded path uses
-        fresh per-row caches in the workers — it neither reads nor updates
-        this computer's persistent cache, so after a warming call (e.g.
-        :meth:`coverage_of`) the serial walk would count warm-cache hits the
-        sharded walk cannot see.
+        per-row, covered rows and cache statistics are identical to the
+        serial engine.  The workers start with fresh per-row caches — they
+        neither read nor update this computer's persistent cache — and that
+        changes nothing even after a warming call (e.g. :meth:`coverage_of`):
+        warm sets never change the batch walk's results.
     min_rows_per_worker:
         Small-input fast path: when the rows per worker would fall below
         this threshold (or the host has a single core), the pool is not
@@ -1209,9 +1295,8 @@ class CoverageComputer:
 
         When ``num_workers`` resolves above 1 (after the small-input fast
         path — see ``min_rows_per_worker``), the batched engine shards the
-        rows across worker processes — covered rows are always identical to
-        the serial walk, and cache statistics are identical from a cold
-        cache (see the class docstring for the warm-cache caveat).
+        rows across worker processes — covered rows and cache statistics
+        are identical to the serial walk.
 
         ``deadline`` (a ``time.monotonic()`` timestamp) bounds the batched
         walk cooperatively: rows past the deadline are left unwalked and

@@ -2,20 +2,19 @@
 
 The trie walkers of :mod:`repro.core.coverage` and :mod:`repro.model.apply`
 are pure-Python object code; this package provides numpy-backed batch
-implementations of their per-block inner loops — bitset ops over covered-row
-masks (:mod:`repro.kernels.bitset`), per-edge candidate classification over
-row blocks (:mod:`repro.kernels.blocks`), and the block walkers composed
-from them (:mod:`repro.kernels.coverage`, :mod:`repro.kernels.apply`).  The
-row matchers have kernels too: the interned n-gram passes of the packed
-matcher (:mod:`repro.kernels.ngrams`) and setsim's posting filters
-(:mod:`repro.kernels.setsim`).
+implementations of them — bitset ops over covered-row masks
+(:mod:`repro.kernels.bitset`), the level-synchronous coverage walk over
+code-point arrays (:mod:`repro.kernels.coverage`) and the apply block walker
+(:mod:`repro.kernels.apply`).  The row matchers have kernels too: the
+interned n-gram passes of the packed matcher (:mod:`repro.kernels.ngrams`)
+and setsim's posting filters (:mod:`repro.kernels.setsim`).
 
 The tier is **optional and byte-identical**: one capability probe at first
 use decides whether numpy is importable, and every kernel has a pure-Python
 fallback producing exactly the same values (the property tests assert the
-equality op by op, and the BENCH harness asserts it end to end).  The serial
-Python walkers remain the executable spec — a kernel is an implementation of
-the spec, never a reinterpretation of it.
+equality kernel by kernel, and the BENCH harness asserts it end to end).
+The serial Python walkers remain the executable spec — a kernel is an
+implementation of the spec, never a reinterpretation of it.
 
 Selection rules
 ---------------

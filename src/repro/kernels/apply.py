@@ -15,11 +15,14 @@ applicable are masked out exactly where the reference walk prunes them,
 so each transformation's ``(row, output)`` pairs come out ascending and
 identical to the serial kernel's.
 
-The split-piece identity is shared with the coverage kernel's root slice
-dispatch: ``s.split(d)[k]`` equals the first segment of the remainder
-after ``k`` successive partitions, valid exactly when ``d`` occurs at
-least ``max(1, k)`` times in ``s`` — the reference's
+Split pieces use the identity ``s.split(d)[k]`` = the first segment of
+the remainder after ``k`` successive partitions, valid exactly when ``d``
+occurs at least ``max(1, k)`` times in ``s`` — the reference's
 ``num_pieces < 2 or piece_index >= num_pieces`` guard.
+
+``StringDType`` stores UTF-8, which cannot hold a lone surrogate: a block
+of values holding one, or a trie whose literals do, is walked by the
+pure-Python walker instead.
 """
 
 from __future__ import annotations
@@ -66,11 +69,16 @@ def transform_trie_rows_numpy(
         _OP_SUBSTR,
         _OP_TWOCHAR,
     )
+    from repro.model.apply import _transform_trie_rows_python
 
     strings = np.strings
     string_dtype = StringDType()
     intp = np.intp
 
+    try:
+        "".join(trie.anchor_texts).encode("utf-8")
+    except UnicodeEncodeError:
+        return _transform_trie_rows_python(values, row_offset, trie)
     outputs: dict[int, list[tuple[int, str]]] = {}
     root_edges = trie.root_edges
     root_terminals = trie.root_terminals
@@ -80,7 +88,14 @@ def transform_trie_rows_numpy(
         block = values[block_start : block_start + _BLOCK_ROWS]
         block_n = len(block)
         block_row0 = row_offset + block_start
-        sources_np = np.array(block, dtype=string_dtype)
+        try:
+            sources_np = np.array(block, dtype=string_dtype)
+        except UnicodeEncodeError:
+            for index, produced in _transform_trie_rows_python(
+                block, block_row0, trie
+            ).items():
+                outputs.setdefault(index, []).extend(produced)
+            continue
         source_lengths = strings.str_len(sources_np)
 
         # Per-block caches: the split-piece arrays shared by every unit of

@@ -1,41 +1,59 @@
-"""numpy block walker for the batched coverage engine.
+"""Level-synchronous numpy kernel for the batched coverage walk.
 
-:func:`walk_trie_rows_numpy` is the kernel-tier implementation of
-:func:`repro.core.coverage._walk_trie_rows` — same signature, same return
-value, byte-identical covered rows *and* statistics.  The serial Python
-walker remains the executable spec; this walker reorganizes the identical
-per-(edge, row) classifications into array form:
+:func:`walk_trie_rows_numpy` is the numpy-tier implementation of
+:func:`repro.core.coverage._walk_trie_rows`: same signature, same return
+value, byte-identical covered rows *and* statistics.  The pure-Python
+walker stays the executable spec; this kernel makes the spec's per-(edge,
+row) classifications in array form, one trie depth at a time for all rows
+of a block, with no Python loop per node or per row.
 
-* Per-block state is transposed from row-major to **column-major**: one
-  ``bytearray`` column per unit (memo state: 0 unknown / 1 output known /
-  2 known ``None``) and per required-set (0 unknown / 1 holds / 2 fails),
-  each wrapped in a zero-copy ``np.frombuffer`` view so a single fancy
-  gather classifies every candidate row of an edge at once.  Unit outputs
-  live in per-unit dicts keyed by row slot.  All columns are pooled and
-  reused across blocks (the small-fix satellite applies the same pooling to
-  the Python walker).
-* Edge visits carrying at least :data:`_VECTOR_MIN_ROWS` candidate rows run
-  the vector path: gather memo states, evaluate only the unknown rows in a
-  Python loop that mirrors the reference opcode semantics exactly, then
-  classify survivors with ``np.strings.startswith`` at per-row prefix
-  offsets.  Smaller visits run the reference's own per-row loops — the
-  cutoff is a scheduling decision, both paths produce identical values.
-* Root slice groups batch the shared piece per group into a ``StringDType``
-  array; the sorted-by-end bulk skip becomes one ``searchsorted`` and the
-  containment-and-position check one ``np.strings.find`` per member.
-* The Aho-Corasick root-literal scan stays in Python: one automaton pass
-  per target is already O(len + matches), and a vectorized presence table
-  would do ~1000x the string work.
+* **Code points.** Sources and targets are flat ``uint32`` code-point
+  arrays (UTF-32 with ``surrogatepass``, so lone surrogates are ordinary
+  code points), each row followed by one pad value that is not a code
+  point.  Sources and targets pad with different values, so a compare that
+  runs past the end of either side always fails.  Literal texts live in a
+  pool appended to the source array, so literals and source slices are
+  both *spans* ``(offset, length)`` of the same array.
+* **Levels.** The frontier is a set of (node, row, prefix) items.  Each
+  level expands them through the CSR layout of
+  :class:`~repro.core.coverage.TrieArrays` into (edge, row, prefix) items,
+  in chunks of at most :data:`_CHUNK_ITEMS`, and classifies every item as
+  the spec does: *skipped* (a required anchor is absent, the unit does not
+  apply, or its output is not in the target), *failed* (the output is in
+  the target but not at the prefix) or *descend* (to the child node, with
+  the prefix advanced by the output length).  Skipped and failed items
+  weigh their edge's subtree size, exactly the spec's tallies.
+* **Root.** Non-empty literal root edges are reached sparsely: the anchor
+  texts found in each target give the (edge, row) items, and every other
+  (literal edge, row) pair is skipped in bulk.  All other root edges meet
+  every row.
+* **Anchors and required sets.** Anchor presence comes from one walk of
+  the anchor trie (the ``goto`` table of the Aho-Corasick automaton) from
+  every target position at once; a (required sets + 1) x rows table then
+  answers every required-set check with one gather (row 0 means no
+  requirement).
+* **Splits.** The positions of every single-character delimiter in the
+  sources, grouped by (delimiter, row), give any piece's start, end and
+  existence (the delimiter occurs at least ``max(1, k)`` times) by index
+  arithmetic.
+* **Containment.** A span that fails the positional compare is *failed*
+  when it occurs in the target and *skipped* otherwise.  The kernel keeps,
+  per source position, the length of the longest prefix of the source
+  suffix that occurs in the row's target (matching statistics), computed
+  lazily and only up to the longest length asked, from candidate pairs
+  (source position, target position with the same first code point) found
+  in a target index sorted by (row, code point).
+* **Slow units.** TwoCharSplitSubstr, fallback units and split units with
+  multi-character delimiters are applied per item in Python, with the
+  spec's semantics, inside the same level pass.
 
-Why the results cannot drift: every statistic is a sum of per-(edge, row)
-classifications, and each classification depends only on per-row memo/cache
-state whose value is independent of *when* it is computed (a unit's output
-for a row is a pure function of the row; a required set holds or fails per
-row regardless of which edge asks first).  Reordering rows into arrays
-changes evaluation timing only.  Candidate arrays stay ascending under
-boolean masking, each terminal node is visited once per block, and blocks
-advance in row order — so covered-row lists come out in the reference's
-exact order too.
+The walk ignores the warm non-covering sets: an entry is added only when a
+unit's output is ``None`` or not in the target, a pure function of (unit,
+row), so consulting it never changes a classification.  Blocks are the
+spec's ``_WALK_BLOCK_ROWS`` rows, and a deadline is checked between them,
+so ``rows_processed`` and the covered prefix match the spec.  Memory grows
+with the block and chunk sizes and with the total length of a block's
+values, never with the longest value alone.
 """
 
 from __future__ import annotations
@@ -46,39 +64,685 @@ from typing import TYPE_CHECKING, Any, Sequence
 from repro.kernels import numpy_or_none
 
 if TYPE_CHECKING:
-    from repro.core.pairs import RowPair
     from repro.core.coverage import PackedTrie
+    from repro.core.pairs import RowPair
     from repro.core.units import TransformationUnit
 
-#: Edge visits with fewer candidate rows than this run the reference's
-#: per-row Python loops instead of paying numpy's fixed per-call overhead.
-#: Purely a scheduling cutoff — values are identical on both paths.
-_VECTOR_MIN_ROWS = 32
+#: Expanded (edge, row) items and containment candidate pairs per chunk;
+#: bounds the kernel's working memory.  Results do not depend on it.
+_CHUNK_ITEMS = 1 << 18
 
-#: Unit evaluations over fewer unknown rows than this run the reference's
-#: per-row loop inside :func:`evaluate_unit`; larger batches use the shared
-#: per-block piece arrays.  Same values either way.
-_VECTOR_MIN_EVAL = 8
-
-#: Rows per block for the numpy walker.  The reference walker blocks at
-#: :data:`repro.core.coverage._WALK_BLOCK_ROWS` (1024) to bound per-row
-#: cache memory, but ``np.strings`` ufuncs carry a large fixed per-call
-#: cost — a bigger block divides every per-block, per-group and per-node
-#: numpy call count by the same factor while the per-row work is invariant.
-#: Block size is results-neutral: blocks advance in row order and every
-#: per-row classification depends only on that row.
-_NUMPY_BLOCK_ROWS = 32768
+#: Pad values after each source (and literal) and each target row.  Neither
+#: is a code point, and they differ, so no compare matches past a row end.
+_SOURCE_PAD = 0xFFFFFFFF
+_TARGET_PAD = 0xFFFFFFFE
 
 
-def available() -> bool:
-    """Whether the numpy walker can run (numpy tier with ``np.strings``)."""
-    np = numpy_or_none()
-    return (
-        np is not None
-        and hasattr(np, "strings")
-        and hasattr(np.strings, "slice")
-        and hasattr(np.strings, "startswith")
+def _encode(np: Any, values: Sequence[str], pad: int) -> tuple[Any, Any, Any]:
+    """``(codes, starts, lengths)``: *values* as one padded code-point array."""
+    count = len(values)
+    lengths = np.fromiter(map(len, values), dtype=np.int64, count=count)
+    codes = np.frombuffer(
+        "".join(values).encode("utf-32-le", "surrogatepass"), dtype="<u4"
     )
+    starts = np.cumsum(lengths + 1) - lengths - 1
+    flat = np.full(len(codes) + count, pad, dtype=np.uint32)
+    flat[np.arange(len(codes)) + np.repeat(np.arange(count), lengths)] = codes
+    return flat, starts, lengths
+
+
+def _code_table(np: Any, values: dict[int, int]) -> Any:
+    """A table from code point to value, -1 for none.  Index it with
+    ``np.minimum(code, len(table) - 1)``: the last slot is always -1."""
+    table = np.full(max(values, default=-1) + 2, -1, dtype=np.int64)
+    table[list(values)] = list(values.values())
+    return table
+
+
+def _chunks(np: Any, counts: Any) -> list[tuple[int, int]]:
+    """``(lo, hi)`` ranges of *counts* summing to about
+    :data:`_CHUNK_ITEMS` each (a single large count is its own range)."""
+    ends = np.cumsum(counts)
+    total = int(ends[-1]) if len(ends) else 0
+    cuts = np.searchsorted(ends, np.arange(_CHUNK_ITEMS, total, _CHUNK_ITEMS))
+    bounds = sorted({0, len(counts), *cuts.tolist()})
+    return list(zip(bounds, bounds[1:]))
+
+
+def _ranges(np: Any, firsts: Any, counts: Any) -> Any:
+    """Concatenated ``range(first, first + count)`` over the pairs."""
+    total = int(counts.sum())
+    return np.arange(total) + np.repeat(firsts - (np.cumsum(counts) - counts), counts)
+
+
+class _Tables:
+    """Per-walk numpy views of the trie's CSR arrays and anchor metadata."""
+
+    def __init__(self, np: Any, trie: "PackedTrie") -> None:
+        from repro.core.coverage import (
+            EDGE_FIELDS,
+            _OP_LITERAL,
+            _OP_SPLIT,
+            _OP_SPLITSUBSTR,
+            _OP_SUBSTR,
+        )
+
+        arrays = trie.arrays
+        self.units = arrays.units
+        node_edges = np.asarray(arrays.node_edges, dtype=np.int64)
+        node_terminals = np.asarray(arrays.node_terminals, dtype=np.int64)
+        self.node_edges = node_edges[:-1]
+        self.edge_count = np.diff(node_edges)
+        self.node_terminals = node_terminals[:-1]
+        self.terminal_count = np.diff(node_terminals)
+        self.terminals = np.asarray(arrays.terminals, dtype=np.int64)
+        table = np.asarray(arrays.edges, dtype=np.int64).reshape(-1, EDGE_FIELDS)
+        op, self.child, self.subtree, req, arg0, arg1, arg2, arg3 = (
+            np.ascontiguousarray(column) for column in table.T
+        )
+        self.req = req + 1
+        single = np.array([len(d) == 1 for d in arrays.delimiters] + [True])
+        literal = op == _OP_LITERAL
+        split = (op == _OP_SPLIT) | (op == _OP_SPLITSUBSTR)
+        span = (op == _OP_SUBSTR) | (split & single[np.where(split, arg0, -1)])
+        self.slow = ~(literal | span)
+        self.has_slow = bool(self.slow.any())
+        # Span arguments; a literal reads as a whole-source span whose
+        # offset and length are replaced from the literal pool.
+        self.delimiter = np.where(span & split, arg0, -1)
+        self.piece = arg1 * span
+        self.start = arg2 * span
+        self.end = np.where(span, arg3, -1)
+        self.literal = literal
+        texts = trie.anchor_texts
+        text_lengths = np.fromiter(map(len, texts), dtype=np.int64, count=len(texts))
+        text_offsets = np.cumsum(text_lengths + 1) - text_lengths - 1
+        anchored = literal & (arg0 >= 0)
+        self.literal_offset = np.append(text_offsets, 0)[np.where(anchored, arg0, -1)]
+        self.literal_length = arg1 * literal
+        self.literal_pool = _encode(np, texts, _SOURCE_PAD)[0]
+        # Delimiter ids by code point (single-character delimiters only).
+        self.delimiter_lookup = _code_table(
+            np,
+            {ord(d): i for i, d in enumerate(arrays.delimiters) if len(d) == 1},
+        )
+        self.num_delimiters = len(arrays.delimiters)
+        # The root, split three ways: non-empty literal edges by anchor text
+        # id; fixed-length slices (Substr, SplitSubstr) grouped by the piece
+        # they slice and then by slice start; every other edge.
+        self.root = len(self.node_edges) - 1
+        first = int(self.node_edges[self.root])
+        root_edges = np.arange(first, first + int(self.edge_count[self.root]))
+        root_literal = anchored[root_edges]
+        root_slice = span[root_edges] & (arg3[root_edges] >= 0)
+        self.root_other = root_edges[~root_literal & ~root_slice]
+        groups: dict[tuple[int, int], list[int]] = {}
+        for edge in root_edges[root_slice].tolist():
+            key = (int(self.delimiter[edge]), int(self.piece[edge]))
+            groups.setdefault(key, []).append(edge)
+        self.root_slices: list[tuple[Any, ...]] = []
+        for (delimiter, piece), members in groups.items():
+            edges = np.asarray(members)
+            edges = edges[np.argsort(self.start[edges], kind="stable")]
+            starts, firsts, which = np.unique(
+                self.start[edges], return_index=True, return_inverse=True
+            )
+            lengths = self.end[edges] - self.start[edges]
+            self.root_slices.append(
+                (delimiter, piece, starts, firsts, edges, which, lengths)
+            )
+        literal_edges = root_edges[root_literal]
+        self.root_literal_edge = np.full(len(texts), -1, dtype=np.int64)
+        self.root_literal_edge[arg0[literal_edges]] = literal_edges
+        self.root_literal_total = int(self.subtree[literal_edges].sum())
+        # Required sets: each text's sets (CSR) and every set's size.
+        req_sets = trie.req_sets
+        self.num_reqs = len(req_sets)
+        self.req_size = np.fromiter(map(len, req_sets), np.int64, len(req_sets))
+        req_texts = np.fromiter(
+            (text for req_set in req_sets for text in req_set),
+            np.int64,
+            int(self.req_size.sum()),
+        )
+        req_ids = np.repeat(np.arange(len(req_sets)), self.req_size)
+        order = np.argsort(req_texts, kind="stable")
+        self.text_reqs = req_ids[order]
+        text_counts = np.bincount(req_texts, minlength=len(texts))
+        self.text_req_first = np.cumsum(text_counts) - text_counts
+        self.text_req_count = text_counts
+        # The anchor trie (the automaton's goto table) keyed by
+        # (state << 32 | code point), and the text spelled by each state.
+        goto = trie.automaton[0]
+        keys = [
+            state << 32 | ord(char)
+            for state, moves in enumerate(goto)
+            for char in moves
+        ]
+        moves_to = [target for moves in goto for target in moves.values()]
+        order = np.argsort(np.asarray(keys, dtype=np.int64))
+        self.anchor_keys = np.asarray(keys, dtype=np.int64)[order]
+        self.anchor_next = np.asarray(moves_to, dtype=np.int64)[order]
+        self.anchor_first = _code_table(
+            np, {ord(char): state for char, state in goto[0].items()}
+        )
+        self.state_text = np.full(len(goto), -1, dtype=np.int64)
+        for text_id, text in enumerate(texts):
+            state = 0
+            for char in text:
+                state = goto[state][char]
+            self.state_text[state] = text_id
+
+
+class _Block:
+    """One block of rows walked level by level."""
+
+    def __init__(
+        self,
+        np: Any,
+        tables: _Tables,
+        pairs: "Sequence[RowPair]",
+        use_cache: bool,
+    ) -> None:
+        self.np = np
+        self.tables = tables
+        self.use_cache = use_cache
+        self.sources = [pair.source for pair in pairs]
+        self.targets = [pair.target for pair in pairs]
+        self.rows = len(pairs)
+        source, self.source_start, self.source_length = _encode(
+            np, self.sources, _SOURCE_PAD
+        )
+        self.target, self.target_start, self.target_length = _encode(
+            np, self.targets, _TARGET_PAD
+        )
+        self.source_size = len(source)
+        self.source_rows = np.repeat(np.arange(self.rows), self.source_length + 1)
+        self.codes = np.concatenate([source, tables.literal_pool])
+        self.target_rows = np.repeat(np.arange(self.rows), self.target_length)
+        self.target_positions = np.flatnonzero(self.target != _TARGET_PAD)
+        self._split_tables()
+        self._anchor_tables()
+        # Matching statistics, filled lazily (see _match_lengths).
+        self.match_length = np.zeros(self.source_size, dtype=np.int64)
+        self.match_cap = np.zeros(self.source_size, dtype=np.int64)
+        self.scratch_longest = np.zeros(self.source_size, dtype=np.int64)
+        self.scratch_claim = np.zeros(self.source_size, dtype=np.int64)
+        self.target_index: tuple[Any, Any] | None = None
+        self.slow_memo: dict[tuple[int, int], str | None] = {}
+
+    # ------------------------------------------------------------------ #
+    # Per-block tables
+    # ------------------------------------------------------------------ #
+    def _split_tables(self) -> None:
+        """Piece boundaries of every (delimiter, row) whose source contains
+        the delimiter: the row start - 1, each delimiter position, the row
+        end.  Piece *k* is ``boundaries[j + k] + 1 : boundaries[j + k + 1]``
+        with ``j = boundary_first[delimiter * rows + row]``, and exists when
+        ``delimiter_count[...] >= max(1, k)``."""
+        np = self.np
+        lookup = self.tables.delimiter_lookup
+        rows = self.rows
+        source = self.codes[: self.source_size]
+        delimiter = lookup[np.minimum(source, len(lookup) - 1)]
+        hits = np.flatnonzero(delimiter >= 0)
+        delimiter = delimiter[hits]
+        # Positions ascend, so a stable sort by delimiter alone groups them
+        # by (delimiter, row); narrow keys take numpy's radix sort.
+        narrow = np.min_scalar_type(self.tables.num_delimiters)
+        order = np.argsort(delimiter.astype(narrow), kind="stable")
+        hits = hits[order]
+        key = delimiter[order] * rows + self.source_rows[hits]
+        self.delimiter_count = np.bincount(
+            key, minlength=self.tables.num_delimiters * rows
+        )
+        opens = np.diff(key, prepend=-1) != 0
+        group = np.cumsum(opens) - 1
+        lead = np.flatnonzero(opens) + 2 * np.arange(int(opens.sum()))
+        boundaries = np.empty(len(hits) + 2 * len(lead), dtype=np.int64)
+        boundaries[np.arange(len(hits)) + 2 * group + 1] = hits
+        row = self.source_rows[hits[opens]]
+        boundaries[lead] = self.source_start[row] - 1
+        boundaries[lead + self.delimiter_count[key[opens]] + 1] = (
+            self.source_start[row] + self.source_length[row]
+        )
+        self.boundaries = boundaries
+        self.boundary_first = np.zeros(len(self.delimiter_count), dtype=np.int64)
+        self.boundary_first[key[opens]] = lead
+
+    def _anchor_tables(self) -> None:
+        """Which anchor texts each target contains, and the viability of
+        every required set per row."""
+        np = self.np
+        tables = self.tables
+        rows = self.rows
+        target = self.target
+        found_rows: list[Any] = []
+        found_texts: list[Any] = []
+        # Walk the anchor trie from every target position at once; the
+        # first move reads a table, the rest search the sorted moves.
+        first = tables.anchor_first
+        state = first[np.minimum(target[self.target_positions], len(first) - 1)]
+        move = state >= 0
+        position = self.target_positions[move] + 1
+        row = self.target_rows[move]
+        state = state[move]
+        keys = tables.anchor_keys
+        while len(position):
+            text = tables.state_text[state]
+            spelled = text >= 0
+            found_rows.append(row[spelled])
+            found_texts.append(text[spelled])
+            key = state << 32 | target[position].astype(np.int64)
+            index = np.minimum(np.searchsorted(keys, key), len(keys) - 1)
+            move = keys[index] == key
+            position = position[move] + 1
+            row = row[move]
+            state = tables.anchor_next[index[move]]
+        present = np.sort(
+            np.concatenate([np.zeros(0, np.int64), *found_texts]) * rows
+            + np.concatenate([np.zeros(0, np.int64), *found_rows])
+        )
+        present = present[np.diff(present, prepend=-1) != 0]
+        self.present_text = present // rows
+        self.present_row = present % rows
+        # A required set holds for a row when all its texts are present:
+        # count the present texts of each (set, row) and compare sizes.
+        counts = tables.text_req_count[self.present_text]
+        req = tables.text_reqs[_ranges(np, tables.text_req_first[self.present_text], counts)]
+        keys_req = req * rows + np.repeat(self.present_row, counts)
+        keys_req, hits = np.unique(keys_req, return_counts=True)
+        viable = keys_req[hits == tables.req_size[keys_req // rows]]
+        self.viable = np.zeros((tables.num_reqs + 1, rows), dtype=bool)
+        self.viable[0] = True
+        self.viable.reshape(-1)[viable + rows] = True
+
+    # ------------------------------------------------------------------ #
+    # Classification
+    # ------------------------------------------------------------------ #
+    def _common_prefix(self, offset: Any, at: Any, cap: Any) -> Any:
+        """Length of the common prefix of ``codes[offset:]`` and
+        ``target[at:]``, counted up to *cap*."""
+        np = self.np
+        codes = self.codes
+        target = self.target
+        common = np.zeros(len(offset), dtype=np.int64)
+        index = np.flatnonzero(cap > 0)
+        offset = offset[index]
+        at = at[index]
+        cap = cap[index]
+        step = 0
+        while len(index):
+            equal = codes[offset] == target[at]
+            common[index[~equal]] = step
+            step += 1
+            going = equal & (cap > step)
+            common[index[equal & ~going]] = step
+            index = index[going]
+            offset = offset[going] + 1
+            at = at[going] + 1
+            cap = cap[going]
+        return common
+
+    def _match_lengths(self, offset: Any, length: Any) -> Any:
+        """The matching statistic at each source position, exact up to
+        *length*: it is at least *length* exactly when the span occurs in
+        the row's target."""
+        np = self.np
+        queried = offset
+        unknown = (length > self.match_cap[offset]) & (
+            self.match_length[offset] == self.match_cap[offset]
+        )
+        if unknown.any():
+            # One query per position, with the longest length asked there:
+            # the scratch arrays pick it without sorting.
+            offset = offset[unknown]
+            length = length[unknown]
+            longest = self.scratch_longest
+            np.maximum.at(longest, offset, length)
+            keep = np.flatnonzero(longest[offset] == length)
+            longest[offset] = 0
+            claim = self.scratch_claim
+            claim[offset[keep]] = keep
+            keep = keep[claim[offset[keep]] == keep]
+            self._match_statistics(offset[keep], length[keep])
+        return self.match_length[queried]
+
+    def _match_statistics(self, positions: Any, caps: Any) -> None:
+        """Longest prefix (up to *caps*) of each source suffix that occurs in
+        the row's target."""
+        np = self.np
+        codes = self.codes
+        target = self.target
+        if self.target_index is None:
+            keys = self.target_rows << 32 | target[self.target_positions].astype(
+                np.int64
+            )
+            order = np.argsort(keys)
+            self.target_index = (keys[order], self.target_positions[order])
+        index_keys, index_positions = self.target_index
+        keys = self.source_rows[positions] << 32 | codes[positions].astype(np.int64)
+        first = np.searchsorted(index_keys, keys, side="left")
+        counts = np.searchsorted(index_keys, keys, side="right") - first
+        best = np.zeros(len(positions), dtype=np.int64)
+        for lo, hi in _chunks(np, counts):
+            count = counts[lo:hi]
+            query = np.repeat(np.arange(lo, hi), count)
+            at = index_positions[_ranges(np, first[lo:hi], count)] + 1
+            # The first code points are equal by construction.
+            common = 1 + self._common_prefix(
+                positions[query] + 1, at, caps[query] - 1
+            )
+            np.maximum.at(best, query, common)
+        self.match_length[positions] = np.minimum(best, caps)
+        self.match_cap[positions] = caps
+
+    def _slow(self, edges: Any, rows: Any, prefixes: Any) -> tuple[Any, Any]:
+        """Classify slow-unit items in Python: ``(classes, new prefixes)``
+        with class 0 skipped, 1 failed, 2 descend."""
+        np = self.np
+        units = self.tables.units
+        memo = self.slow_memo
+        classes = np.zeros(len(edges), dtype=np.int8)
+        advanced = prefixes.copy()
+        for item, (edge, row, prefix) in enumerate(
+            zip(edges.tolist(), rows.tolist(), prefixes.tolist())
+        ):
+            unit = units[edge]
+            key = (id(unit), row)
+            if key in memo:
+                output = memo[key]
+            else:
+                output = unit.apply(self.sources[row])
+                if output and output not in self.targets[row]:
+                    output = None
+                memo[key] = output
+            if output is None:
+                continue
+            if not output:
+                classes[item] = 2
+            elif self.targets[row].startswith(output, prefix):
+                classes[item] = 2
+                advanced[item] = prefix + len(output)
+            else:
+                classes[item] = 1
+        return classes, advanced
+
+    def classify(
+        self, edges: Any, rows: Any, prefixes: Any
+    ) -> tuple[int, int, Any, Any, Any]:
+        """``(skipped, failed, child, row, prefix)`` for (edge, row, prefix)
+        items: the subtree weights skipped and failed, and the descents."""
+        np = self.np
+        tables = self.tables
+        subtree = tables.subtree[edges]
+        alive = self.viable[tables.req[edges], rows]
+        descend: list[Any] = []
+        advanced: list[Any] = []
+        failed = 0
+        if tables.has_slow:
+            slow = tables.slow[edges]
+            picked = np.flatnonzero(slow & alive)
+            if len(picked):
+                classes, moved = self._slow(
+                    edges[picked], rows[picked], prefixes[picked]
+                )
+                failed += int(subtree[picked[classes == 1]].sum())
+                descend.append(picked[classes == 2])
+                advanced.append(moved[classes == 2])
+            alive &= ~slow
+        item = np.flatnonzero(alive)
+        edge = edges[item]
+        row = rows[item]
+        # The piece a span slices: the whole source, or a split piece.
+        piece_start = self.source_start[row]
+        piece_end = piece_start + self.source_length[row]
+        valid = np.ones(len(item), dtype=bool)
+        delimiter = tables.delimiter[edge]
+        split = np.flatnonzero(delimiter >= 0)
+        if len(split):
+            key = delimiter[split] * self.rows + row[split]
+            piece = tables.piece[edge[split]]
+            exists = self.delimiter_count[key] >= np.maximum(piece, 1)
+            valid[split] = exists
+            split = split[exists]
+            bound = self.boundary_first[key[exists]] + piece[exists]
+            piece_start[split] = self.boundaries[bound] + 1
+            piece_end[split] = self.boundaries[bound + 1]
+        start = tables.start[edge]
+        end = tables.end[edge]
+        whole = end < 0
+        valid &= piece_end - piece_start >= end
+        offset = piece_start + start
+        length = np.where(whole, piece_end - piece_start, end - start)
+        literal = tables.literal[edge]
+        offset = np.where(
+            literal, self.source_size + tables.literal_offset[edge], offset
+        )
+        length = np.where(literal, tables.literal_length[edge], length)
+        # Empty outputs pass through; the rest must match at the prefix.
+        empty = np.flatnonzero(valid & (length == 0))
+        check = np.flatnonzero(valid & (length > 0))
+        prefix = prefixes[item]
+        matched = (
+            self._common_prefix(
+                offset[check],
+                self.target_start[row[check]] + prefix[check],
+                length[check],
+            )
+            == length[check]
+        )
+        missed = check[~matched]
+        if self.use_cache:
+            # Present but misplaced fails; absent skips.  Literals are
+            # always present (their own anchor is a required text).
+            span = missed[~literal[missed]]
+            absent = span[
+                self._match_lengths(offset[span], length[span]) < length[span]
+            ]
+            failed += int(subtree[item[missed]].sum() - subtree[item[absent]].sum())
+        else:
+            # Skips count as misses too: no need to tell them apart.
+            failed += int(subtree[item[missed]].sum())
+        moved = np.concatenate([empty, check[matched]])
+        descend.append(item[moved])
+        advanced.append(prefix[moved] + length[moved])
+        down = np.concatenate(descend)
+        skipped = int(subtree.sum()) - failed - int(subtree[down].sum())
+        return (
+            skipped,
+            failed,
+            tables.child[edges[down]],
+            rows[down],
+            np.concatenate(advanced),
+        )
+
+    def _root_slices(self) -> tuple[int, int, Any, Any, Any]:
+        """Classify every root slice over every row, as :meth:`classify`
+        does.
+
+        A group's piece is found once for all rows, the common prefix with
+        the target and the matching statistic once per (start, row) — in
+        one batch for all groups — and each slice then compares its length
+        with them.
+        """
+        np = self.np
+        tables = self.tables
+        rows = self.rows
+        groups = [self._slice_items(*group) for group in tables.root_slices]
+        empty = [np.zeros(0, dtype=np.int64)]
+        offset, at, cap = (
+            np.concatenate(empty + [group[field] for group in groups])
+            for field in range(3)
+        )
+        common = self._common_prefix(offset, at, cap)
+        if self.use_cache:
+            matched = self._match_lengths(offset, cap)
+        skipped = failed = 0
+        children: list[Any] = []
+        descended: list[Any] = []
+        prefixes: list[Any] = []
+        end = 0
+        for _, _, _, edges, which, lengths, alive, num_starts, start_index, row in (
+            groups
+        ):
+            begin, end = end, end + len(row)
+            found = np.zeros((num_starts, rows), dtype=np.int64)
+            found[start_index, row] = common[begin:end]
+            down = alive & (found[which] >= lengths[:, None])
+            alive &= ~down
+            if self.use_cache:
+                found[start_index, row] = matched[begin:end]
+                alive &= found[which] >= lengths[:, None]
+            num_down = np.count_nonzero(down, axis=1)
+            num_failed = np.count_nonzero(alive, axis=1)
+            subtree = tables.subtree[edges]
+            skipped += int(((rows - num_down - num_failed) * subtree).sum())
+            failed += int((num_failed * subtree).sum())
+            member, down_row = np.nonzero(down)
+            children.append(tables.child[edges[member]])
+            descended.append(down_row)
+            prefixes.append(lengths[member])
+        return (
+            skipped,
+            failed,
+            np.concatenate(empty + children),
+            np.concatenate(empty + descended),
+            np.concatenate(empty + prefixes),
+        )
+
+    def _slice_items(
+        self,
+        delimiter: int,
+        piece: int,
+        starts: Any,
+        firsts: Any,
+        edges: Any,
+        which: Any,
+        lengths: Any,
+    ) -> tuple[Any, ...]:
+        """The (start, row) spans one root group compares — source
+        offset, target offset, longest slice length — then the group's
+        slices and the (slice, row) items that pass the required-set check
+        and fit in the piece.
+
+        *edges* are the group's slices sorted by start, *starts* the
+        distinct starts, *firsts* where each begins in *edges*, and *which*
+        the start of each edge.
+        """
+        np = self.np
+        rows = self.rows
+        piece_start = self.source_start.copy()
+        piece_end = piece_start + self.source_length
+        exists = np.ones(rows, dtype=bool)
+        if delimiter >= 0:
+            key = delimiter * rows + np.arange(rows)
+            exists = self.delimiter_count[key] >= max(piece, 1)
+            row = np.flatnonzero(exists)
+            bound = self.boundary_first[key[row]] + piece
+            piece_start[row] = self.boundaries[bound] + 1
+            piece_end[row] = self.boundaries[bound + 1]
+        piece_length = np.where(exists, piece_end - piece_start, -1)
+        alive = self.viable[self.tables.req[edges]] & (
+            piece_length >= (starts[which] + lengths)[:, None]
+        )
+        start_index, row = np.nonzero(np.logical_or.reduceat(alive, firsts, axis=0))
+        return (
+            piece_start[row] + starts[start_index],
+            self.target_start[row],
+            np.maximum.reduceat(lengths, firsts)[start_index],
+            edges,
+            which,
+            lengths,
+            alive,
+            len(starts),
+            start_index,
+            row,
+        )
+
+    # ------------------------------------------------------------------ #
+    # The walk
+    # ------------------------------------------------------------------ #
+    def walk(self) -> tuple[int, int, int, Any, Any]:
+        """``(skipped, failed, reached, covered nodes, covered rows)``:
+        skipped and failed subtree weights, the terminals reached (misses
+        and applications alike in the spec) and the (node, row) pairs whose
+        prefix is the whole target."""
+        np = self.np
+        tables = self.tables
+        rows = self.rows
+        skipped = failed = reached = 0
+        covered_nodes: list[Any] = []
+        covered_rows: list[Any] = []
+        descents: list[tuple[Any, ...]] = []
+
+        def settle(result: tuple[int, int, Any, Any, Any]) -> None:
+            nonlocal skipped, failed
+            skipped += result[0]
+            failed += result[1]
+            descents.append(result[2:])
+
+        # Root: dense edges meet every row; literal edges only the rows
+        # whose target contains their text; the rest are skipped in bulk.
+        all_rows = np.arange(rows)
+        root_terminals = int(tables.terminal_count[tables.root])
+        if root_terminals:
+            reached += root_terminals * rows
+            empty = all_rows[self.target_length == 0]
+            covered_nodes.append(np.full(len(empty), tables.root))
+            covered_rows.append(empty)
+        settle(self._root_slices())
+        other = tables.root_other
+        step = max(1, _CHUNK_ITEMS // max(rows, 1))
+        for lo in range(0, len(other), step):
+            edges = other[lo : lo + step]
+            settle(
+                self.classify(
+                    np.repeat(edges, rows),
+                    np.tile(all_rows, len(edges)),
+                    np.zeros(len(edges) * rows, dtype=np.int64),
+                )
+            )
+        literal_edge = tables.root_literal_edge[self.present_text]
+        hit = literal_edge >= 0
+        literal_edge = literal_edge[hit]
+        skipped += tables.root_literal_total * rows - int(
+            tables.subtree[literal_edge].sum()
+        )
+        settle(
+            self.classify(
+                literal_edge,
+                self.present_row[hit],
+                np.zeros(len(literal_edge), dtype=np.int64),
+            )
+        )
+
+        while descents:
+            node = np.concatenate([d[0] for d in descents])
+            row = np.concatenate([d[1] for d in descents])
+            prefix = np.concatenate([d[2] for d in descents])
+            descents = []
+            terminal_count = tables.terminal_count[node]
+            reached += int(terminal_count.sum())
+            done = (terminal_count > 0) & (prefix == self.target_length[row])
+            covered_nodes.append(node[done])
+            covered_rows.append(row[done])
+            count = tables.edge_count[node]
+            for lo, hi in _chunks(np, count):
+                chunk_count = count[lo:hi]
+                settle(
+                    self.classify(
+                        _ranges(np, tables.node_edges[node[lo:hi]], chunk_count),
+                        np.repeat(row[lo:hi], chunk_count),
+                        np.repeat(prefix[lo:hi], chunk_count),
+                    )
+                )
+        return (
+            skipped,
+            failed,
+            reached,
+            np.concatenate([np.zeros(0, np.int64), *covered_nodes]),
+            np.concatenate([np.zeros(0, np.int64), *covered_rows]),
+        )
 
 
 def walk_trie_rows_numpy(
@@ -89,950 +753,52 @@ def walk_trie_rows_numpy(
     use_cache: bool,
     deadline: float | None = None,
 ) -> tuple[dict[int, list[int]], int, int, int, int]:
-    """The numpy-tier twin of :func:`repro.core.coverage._walk_trie_rows`."""
+    """The numpy-tier twin of :func:`repro.core.coverage._walk_trie_rows`.
+
+    ``non_covering_units`` is accepted for the shared signature and never
+    read (see the module docstring).
+    """
     np = numpy_or_none()
-    assert np is not None, "numpy walker requires the numpy tier"
-    from numpy.dtypes import StringDType
+    assert np is not None, "the coverage kernel requires the numpy tier"
+    from repro.core.coverage import _WALK_BLOCK_ROWS
 
-    from repro.core.coverage import _OP_LITERAL  # noqa: PLC0415
-    from repro.core.coverage import (
-        _OP_SPLIT,
-        _OP_SPLITSUBSTR,
-        _OP_SUBSTR,
-        _OP_TWOCHAR,
-    )
-
-    strings = np.strings
-    string_dtype = StringDType()
-    intp = np.intp
-
-    covered: dict[int, list[int]] = {}
-    hits = misses = applications = 0
-    rows_processed = 0
-    root_terminals = trie.root_terminals
-    root_other_edges = trie.root_other_edges
-    root_literal_by_text = trie.root_literal_by_text
-    root_literal_total = trie.root_literal_total
-    root_slice_groups = trie.root_slice_groups
-    req_sets = trie.req_sets
-    goto, fail, outputs_table = trie.automaton
-    num_texts = len(trie.anchor_texts)
-    num_reqs = len(req_sets)
-    num_units = trie.num_units
-    num_delimiters = trie.num_delimiters
     num_rows = len(pairs)
-
-    # Pooled per-block state (allocated at the first block, reset afterwards).
-    # Unit memo state lives in one (num_units x block) uint8 matrix backed by
-    # a shared bytearray: the Python paths index per-unit memoryview rows
-    # while the vector path gathers whole (edge x row) submatrices per node.
-    # Required-set viability is *eager*: after the presence scan, one
-    # vectorized pass fills the (num_reqs+1 x block) matrix (row 0 is an
-    # always-viable sentinel addressed by ``req_id + 1`` when ``req_id`` is
-    # -1).  Eagerness cannot show up in the results: a required set holds or
-    # fails per row no matter when — or whether — an edge asks.
-    unit_buf = bytearray(0)
-    unit_states: list = []
-    unit_views: list[Any] = []
-    unit_mat: Any = None
-    unit_outs: list[dict[int, str]] = []
-    req_buf = bytearray(0)
-    req_cols: list = []
-    req_views: list[Any] = []
-    req_mat: Any = None
-    presence_buf = bytearray(0)
-    presences: list = []
-    presence_mat: Any = None
-    split_caches: list[list] = []
-    tsplit_caches: list[dict] = []
-    matched_lists: list = []
-    none_template: list = [None] * num_delimiters
-    block_cap = min(num_rows, _NUMPY_BLOCK_ROWS) or 1
-    if deadline is not None:
-        from repro.core.coverage import _WALK_BLOCK_ROWS  # noqa: PLC0415
-
-        # A budgeted walk must cut at the reference engine's row
-        # boundaries: the deadline is only checked between blocks, and the
-        # fully-processed prefix (rows_processed and the covered rows it
-        # implies) is part of the identical-results contract — a bigger
-        # block would make an expired budget process more rows than the
-        # pure-Python tier does.
-        block_cap = min(block_cap, _WALK_BLOCK_ROWS)
-    zero_unit_buf = bytes(num_units * block_cap)
-    zero_presence_buf = bytes(num_texts * block_cap)
-    first_block = True
-
-    # Requirement sets regrouped for the eager pass: the many single-text
-    # sets fill their rows in one fancy assignment, the few multi-text sets
-    # reduce with ``min`` (presence is 0/1, so min==1 iff all present).
-    req_single_rows: Any = None
-    req_single_cols: Any = None
-    req_multi: list[tuple[int, Any]] = []
-    if num_reqs:
-        singles = [
-            (rid, req_set[0])
-            for rid, req_set in enumerate(req_sets)
-            if len(req_set) == 1
-        ]
-        req_single_rows = np.array([rid + 1 for rid, _ in singles], dtype=intp)
-        req_single_cols = np.array([col for _, col in singles], dtype=intp)
-        req_multi = [
-            (rid + 1, np.asarray(req_set, dtype=intp))
-            for rid, req_set in enumerate(req_sets)
-            if len(req_set) > 1
-        ]
-
-    for block_start in range(0, num_rows, block_cap):
-        if deadline is not None and block_start and monotonic() >= deadline:
-            break
-        block = pairs[block_start : block_start + block_cap]
-        block_n = len(block)
-        rows_processed = block_start + block_n
-        sources = [pair.source for pair in block]
-        targets = [pair.target for pair in block]
-        target_lengths = [len(target) for target in targets]
-        targets_np = np.array(targets, dtype=string_dtype)
-        sources_np = np.array(sources, dtype=string_dtype)
-        source_lengths = strings.str_len(sources_np)
-
-        # Shared per-block split-piece arrays: ``split(d)[k]`` for the whole
-        # block, built once per (delimiter, piece index) from cached
-        # partition remainders and reused by the root slice dispatch and
-        # the batched unit evaluator alike.
-        delim_scalars: dict[int, Any] = {}
-        count_cache: dict[int, Any] = {}
-        rem_cache: dict[tuple[int, int], Any] = {}
-        piece_cache: dict[tuple[int, int], Any] = {}
-        plen_cache: dict[tuple[int, int], Any] = {}
-
-        def split_piece(
-            delimiter: str, piece_index: int, delimiter_id: int
-        ) -> tuple[Any, Any]:
-            """Block-wide ``source.split(delimiter)[piece_index]``.
-
-            Returns ``(piece, valid)``: *valid* is the reference's
-            ``num_pieces >= 2 and piece_index < num_pieces`` guard (the
-            delimiter occurs at least ``max(1, piece_index)`` times), and
-            *piece* is meaningful only where *valid* holds.
-            """
-            counts = count_cache.get(delimiter_id)
-            if counts is None:
-                delim_scalars[delimiter_id] = np.array(
-                    delimiter, dtype=string_dtype
-                )
-                counts = count_cache[delimiter_id] = strings.count(
-                    sources_np, delim_scalars[delimiter_id]
-                )
-            piece = piece_cache.get((delimiter_id, piece_index))
-            if piece is None:
-                sep = delim_scalars[delimiter_id]
-                depth = 0
-                remainder = sources_np
-                for k in range(piece_index, 0, -1):
-                    cached = rem_cache.get((delimiter_id, k))
-                    if cached is not None:
-                        depth = k
-                        remainder = cached
-                        break
-                while depth < piece_index:
-                    remainder = strings.partition(remainder, sep)[2]
-                    depth += 1
-                    rem_cache[(delimiter_id, depth)] = remainder
-                piece = strings.partition(remainder, sep)[0]
-                piece_cache[(delimiter_id, piece_index)] = piece
-            return piece, counts >= (piece_index if piece_index > 1 else 1)
-        block_cache = non_covering_units[block_start : block_start + block_n]
-        warms = [use_cache and bool(cache) for cache in block_cache]
-        warm_any = True in warms
-
-        if first_block:
-            first_block = False
-            unit_buf = bytearray(num_units * block_cap)
-            unit_mat = np.frombuffer(unit_buf, dtype=np.uint8).reshape(
-                num_units, block_cap
-            )
-            unit_mem = memoryview(unit_buf)
-            unit_states = [
-                unit_mem[i * block_cap : (i + 1) * block_cap]
-                for i in range(num_units)
-            ]
-            unit_views = list(unit_mat)
-            unit_outs = [{} for _ in range(num_units)]
-            req_buf = bytearray((num_reqs + 1) * block_cap)
-            req_mat = np.frombuffer(req_buf, dtype=np.uint8).reshape(
-                num_reqs + 1, block_cap
-            )
-            req_mat[0] = 1
-            req_mem = memoryview(req_buf)
-            req_cols = [
-                req_mem[
-                    (i + 1) * block_cap : (i + 2) * block_cap
-                ]
-                for i in range(num_reqs)
-            ]
-            req_views = list(req_mat[1:]) if num_reqs else []
-            presence_buf = bytearray(num_texts * block_cap)
-            presence_mat = np.frombuffer(presence_buf, dtype=np.uint8).reshape(
-                block_cap, num_texts
-            )
-            presence_mem = memoryview(presence_buf)
-            presences = [
-                presence_mem[i * num_texts : (i + 1) * num_texts]
-                for i in range(block_cap)
-            ]
-            split_caches = [
-                [None] * num_delimiters for _ in range(block_cap)
-            ]
-            tsplit_caches = [{} for _ in range(block_cap)]
-            matched_lists = [None] * block_cap
-        else:
-            unit_buf[:] = zero_unit_buf
-            for out in unit_outs:
-                out.clear()
-            presence_buf[:] = zero_presence_buf
-            for cache in split_caches:
-                cache[:] = none_template
-            for tcache in tsplit_caches:
-                tcache.clear()
-
-        def evaluate_unit(edge: tuple, unknown_np):
-            """Evaluate *edge*'s unit for the given rows, writing the memo.
-
-            The vectorized branch additionally reports its outcome so the
-            caller can batch the positional compare: ``(good_slots,
-            good_outputs)`` arrays when rows passed, ``None`` when the
-            vector path ran but nothing passed.  The per-row fallback
-            returns ``False`` — the caller must re-gather memo state, since
-            rows may have become OK without arrays to show for it.
-
-            Mirrors the reference walker's opcode evaluation — including the
-            warm-cache consult and the output-in-target containment check —
-            writing memo state 1 (+ output) or 2 per row.  Large batches of
-            split/substring units evaluate in numpy off the shared per-block
-            piece arrays (computing a piece for rows that never ask is
-            invisible: outputs are pure functions of the row, and the memo
-            is written only for the rows requested); everything else runs
-            the reference's per-row loop.
-            """
-            op = edge[1]
-            args = edge[2]
-            unit = edge[7]
-            uid = edge[0]
-            st_col = unit_states[uid]
-            out_col = unit_outs[uid]
-            output: str | None
-            if unknown_np.size >= _VECTOR_MIN_EVAL and (
-                op == _OP_SPLITSUBSTR or op == _OP_SPLIT or op == _OP_SUBSTR
-            ):
-                sub = unknown_np
-                if warm_any:
-                    kept = [
-                        slot
-                        for slot in sub.tolist()
-                        if not (warms[slot] and unit in block_cache[slot])
-                    ]
-                    if len(kept) != int(sub.size):
-                        unit_view = unit_views[uid]
-                        unit_view[sub] = 2
-                        if not kept:
-                            return
-                        sub = np.asarray(kept, dtype=intp)
-                if op == _OP_SUBSTR:
-                    start, end = args
-                    ok = source_lengths[sub] >= end
-                    outs = strings.slice(sources_np[sub], start, end)
-                elif op == _OP_SPLIT:
-                    delimiter, piece_index, delimiter_id = args
-                    piece_np, valid = split_piece(
-                        delimiter, piece_index, delimiter_id
-                    )
-                    ok = valid[sub]
-                    outs = piece_np[sub]
-                else:
-                    delimiter, piece_index, start, end, delimiter_id = args
-                    piece_np, valid = split_piece(
-                        delimiter, piece_index, delimiter_id
-                    )
-                    plen = plen_cache.get((delimiter_id, piece_index))
-                    if plen is None:
-                        plen = plen_cache[(delimiter_id, piece_index)] = (
-                            strings.str_len(piece_np)
-                        )
-                    ok = valid[sub] & (plen[sub] >= end)
-                    outs = strings.slice(piece_np[sub], start, end)
-                # An empty output is a pass-through in the reference (the
-                # containment check is skipped); find("", ...) == 0 keeps
-                # it on the ok side here too.
-                ok &= strings.find(targets_np[sub], outs) >= 0
-                unit_view = unit_views[uid]
-                bad = sub[~ok]
-                if bad.size:
-                    unit_view[bad] = 2
-                good = sub[ok]
-                if good.size:
-                    unit_view[good] = 1
-                    good_outs = outs[ok]
-                    out_col.update(zip(good.tolist(), good_outs.tolist()))
-                    return good, good_outs
-                return None
-            unknown_slots = unknown_np.tolist()
-            if op == _OP_SPLITSUBSTR:
-                delimiter, piece_index, start, end, delimiter_id = args
-                for slot in unknown_slots:
-                    if warm_any and warms[slot] and unit in block_cache[slot]:
-                        st_col[slot] = 2
-                        continue
-                    cache = split_caches[slot]
-                    pieces = cache[delimiter_id]
-                    if pieces is None:
-                        pieces = cache[delimiter_id] = sources[slot].split(
-                            delimiter
-                        )
-                    num_pieces = len(pieces)
-                    if num_pieces < 2 or piece_index >= num_pieces:
-                        output = None
-                    else:
-                        piece = pieces[piece_index]
-                        if end > len(piece):
-                            output = None
-                        else:
-                            output = piece[start:end]
-                            if output not in targets[slot]:
-                                output = None
-                    if output is None:
-                        st_col[slot] = 2
-                    else:
-                        st_col[slot] = 1
-                        out_col[slot] = output
-            elif op == _OP_SPLIT:
-                delimiter, piece_index, delimiter_id = args
-                for slot in unknown_slots:
-                    if warm_any and warms[slot] and unit in block_cache[slot]:
-                        st_col[slot] = 2
-                        continue
-                    cache = split_caches[slot]
-                    pieces = cache[delimiter_id]
-                    if pieces is None:
-                        pieces = cache[delimiter_id] = sources[slot].split(
-                            delimiter
-                        )
-                    num_pieces = len(pieces)
-                    if num_pieces < 2 or piece_index >= num_pieces:
-                        output = None
-                    else:
-                        output = pieces[piece_index]
-                        if output and output not in targets[slot]:
-                            output = None
-                    if output is None:
-                        st_col[slot] = 2
-                    else:
-                        st_col[slot] = 1
-                        out_col[slot] = output
-            elif op == _OP_SUBSTR:
-                start, end = args
-                for slot in unknown_slots:
-                    if warm_any and warms[slot] and unit in block_cache[slot]:
-                        st_col[slot] = 2
-                        continue
-                    source = sources[slot]
-                    if end > len(source):
-                        output = None
-                    else:
-                        output = source[start:end]
-                        if output and output not in targets[slot]:
-                            output = None
-                    if output is None:
-                        st_col[slot] = 2
-                    else:
-                        st_col[slot] = 1
-                        out_col[slot] = output
-            else:
-                for slot in unknown_slots:
-                    if warm_any and warms[slot] and unit in block_cache[slot]:
-                        st_col[slot] = 2
-                        continue
-                    source = sources[slot]
-                    if op == _OP_TWOCHAR:
-                        key = (args[0], args[1])
-                        tcache = tsplit_caches[slot]
-                        pieces = tcache.get(key, False)
-                        if pieces is False:
-                            if args[0] in source or args[1] in source:
-                                mode = args[5]
-                                if mode == 2:
-                                    pieces = source.replace(
-                                        args[1], args[0]
-                                    ).split(args[0])
-                                elif mode == 1:
-                                    pieces = source.split(args[0])
-                                elif mode == -1:
-                                    pieces = source.split(args[1])
-                                else:
-                                    pieces = [source]
-                            else:
-                                pieces = None
-                            tcache[key] = pieces
-                        if pieces is None or args[2] >= len(pieces):
-                            output = None
-                        else:
-                            piece = pieces[args[2]]
-                            output = (
-                                piece[args[3] : args[4]]
-                                if args[4] <= len(piece)
-                                else None
-                            )
-                    else:
-                        output = args[0](source)
-                    if output is not None and output:
-                        if output not in targets[slot]:
-                            output = None
-                    if output is None:
-                        st_col[slot] = 2
-                    else:
-                        st_col[slot] = 1
-                        out_col[slot] = output
-            return False
-
-        all_slots = list(range(block_n))
-        stack: list[tuple] = [
-            (root_other_edges, root_terminals, all_slots, [0] * block_n)
-        ]
-        push = stack.append
-        pop = stack.pop
-
-        # ---------------------------------------------------------------- #
-        # Root literal scan: identical to the reference (the automaton pass
-        # is already O(len + matches) per target).  The dispatch over the
-        # matched anchors is deferred until after the eager required-set
-        # pass below so it reads viability straight out of the matrix.
-        # ---------------------------------------------------------------- #
-        if num_texts:
-            for slot in all_slots:
-                presence = presences[slot]
-                matched: list[int] = []
-                matched_append = matched.append
-                state = 0
-                for char in targets[slot]:
-                    next_state = goto[state].get(char)
-                    while next_state is None and state:
-                        state = fail[state]
-                        next_state = goto[state].get(char)
-                    state = next_state if next_state is not None else 0
-                    for text_id in outputs_table[state]:
-                        if not presence[text_id]:
-                            presence[text_id] = 1
-                            matched_append(text_id)
-                matched_lists[slot] = matched
-
-        # Eager required-set viability: presence is complete for the block,
-        # so every (req, row) answer is already fixed — fill the whole
-        # matrix now (1 viable / 2 fails, the reference's lazily computed
-        # values exactly) and never run a per-row membership loop again.
-        if num_reqs:
-            if num_texts:
-                pm = presence_mat[:block_n]
-                req_mat[req_single_rows, :block_n] = (
-                    2 - pm[:, req_single_cols].T
-                )
-                for req_row, req_cols_np in req_multi:
-                    req_mat[req_row, :block_n] = 2 - pm[:, req_cols_np].min(
-                        axis=1
-                    )
-            else:
-                req_mat[1:, :block_n] = 2
-
-        if num_texts:
-            descents: dict[int, tuple[list, list[int]]] = {}
-            skipped_root = 0
-            failed_root = 0
-            for slot in all_slots:
-                target = targets[slot]
-                viable_subtree = 0
-                for text_id in matched_lists[slot]:
-                    edge = root_literal_by_text.get(text_id)
-                    if edge is None:
-                        continue
-                    if req_cols[edge[6]][slot] == 2:
-                        continue
-                    viable_subtree += edge[5]
-                    text = edge[2][0]
-                    if target.startswith(text):
-                        entry = descents.get(text_id)
-                        if entry is None:
-                            entry = descents[text_id] = ([], len(text))
-                        entry[0].append(slot)
-                    else:
-                        failed_root += edge[5]
-                skipped_root += root_literal_total - viable_subtree
+    hits = misses = applications = rows_processed = 0
+    nodes: list[Any] = []
+    rows: list[Any] = []
+    if num_rows:
+        tables = _Tables(np, trie)
+        for block_start in range(0, num_rows, _WALK_BLOCK_ROWS):
+            if deadline is not None and block_start and monotonic() >= deadline:
+                break
+            block = pairs[block_start : block_start + _WALK_BLOCK_ROWS]
+            rows_processed = block_start + len(block)
+            skipped, failed, reached, block_nodes, block_rows_covered = _Block(
+                np, tables, block, use_cache
+            ).walk()
             if use_cache:
-                hits += skipped_root
+                hits += skipped
             else:
-                misses += skipped_root
-            misses += failed_root
-            for text_id, (slots, prefix_length) in descents.items():
-                edge = root_literal_by_text[text_id]
-                push((edge[3], edge[4], slots, [prefix_length] * len(slots)))
-
-        # ---------------------------------------------------------------- #
-        # Root slice dispatch, vectorized per group: the shared piece per
-        # row is computed entirely in numpy — one StringDType conversion of
-        # the sources per block, one ``np.strings.count`` per delimiter
-        # (piece existence), and repeated ``np.strings.partition``
-        # remainders per (delimiter, piece index), all cached for the
-        # block.  ``split(d)[k]`` equals the first segment after k
-        # partitions whenever the delimiter occurs at least ``max(1, k)``
-        # times, which is exactly the reference's ``num_pieces`` guard —
-        # rows failing it are masked out before the piece is ever read.
-        # The sorted-by-end bulk skip becomes one searchsorted and each
-        # member's containment-and-position check one np.strings.find.
-        # ---------------------------------------------------------------- #
-        if root_slice_groups:
-            all_slots_np = np.arange(block_n, dtype=intp)
-        for (
-            delimiter,
-            piece_index,
-            delimiter_id,
-            member_starts,
-            member_ends,
-            member_unit_ids,
-            member_req_ids,
-            member_subtrees,
-            suffix_totals,
-            group,
-        ) in root_slice_groups:
-            group_size = len(group)
-            skipped_units = 0
-            failed_units = 0
-            if delimiter is None:
-                piece_np = sources_np
-                have_idx = all_slots_np
-            else:
-                piece_np, valid = split_piece(
-                    delimiter, piece_index, delimiter_id
-                )
-                have_idx = np.flatnonzero(valid)
-                missing = block_n - int(have_idx.size)
-                if missing:
-                    skipped_units += missing * suffix_totals[0]
-            cuts = np.searchsorted(
-                np.asarray(member_ends, dtype=np.int64),
-                strings.str_len(piece_np)[have_idx],
-                side="right",
-            )
-            short = cuts < group_size
-            if short.any():
-                skipped_units += int(
-                    np.asarray(suffix_totals, dtype=np.int64)[cuts[short]].sum()
-                )
-            for position in range(group_size):
-                cand = have_idx[cuts > position]
-                if cand.size == 0:
-                    continue
-                req_id = member_req_ids[position]
-                if req_id >= 0:
-                    viability = req_views[req_id][cand]
-                    bad = int((viability == 2).sum())
-                    if bad:
-                        skipped_units += bad * member_subtrees[position]
-                        cand = cand[viability == 1]
-                        if cand.size == 0:
-                            continue
-                member_outputs = strings.slice(
-                    piece_np[cand], member_starts[position], member_ends[position]
-                )
-                found = strings.find(targets_np[cand], member_outputs)
-                unit_view = unit_views[member_unit_ids[position]]
-                none_mask = found < 0
-                num_none = int(none_mask.sum())
-                if num_none:
-                    unit_view[cand[none_mask]] = 2
-                    skipped_units += num_none * member_subtrees[position]
-                if num_none != cand.size:
-                    ok_mask = ~none_mask
-                    ok = cand[ok_mask]
-                    unit_view[ok] = 1
-                    out_col = unit_outs[member_unit_ids[position]]
-                    for slot, output in zip(
-                        ok.tolist(), member_outputs[ok_mask].tolist()
-                    ):
-                        out_col[slot] = output
-                    zero_mask = found[ok_mask] == 0
-                    num_zero = int(zero_mask.sum())
-                    failed_units += (int(ok.size) - num_zero) * member_subtrees[
-                        position
-                    ]
-                    if num_zero:
-                        edge = group[position]
-                        output_length = (
-                            member_ends[position] - member_starts[position]
-                        )
-                        descend = ok[zero_mask].tolist()
-                        push(
-                            (
-                                edge[3],
-                                edge[4],
-                                descend,
-                                [output_length] * len(descend),
-                            )
-                        )
-            if use_cache:
-                hits += skipped_units
-            else:
-                misses += skipped_units
-            misses += failed_units
-
-        # ---------------------------------------------------------------- #
-        # Generic walk: per edge, either the vector path (memo-state gather,
-        # Python evaluation of unknown rows only, batched startswith) or —
-        # for small candidate sets — the reference's own per-row loops.
-        # ---------------------------------------------------------------- #
-        while stack:
-            edges, terminals, slots, prefixes = pop()
-            if terminals:
-                count = len(terminals)
-                reached = len(slots)
-                misses += count * reached
-                applications += count * reached
-                for slot, prefix in zip(slots, prefixes):
-                    if prefix == target_lengths[slot]:
-                        row_index = row_offset + block_start + slot
-                        for index in terminals:
-                            covered.setdefault(index, []).append(row_index)
-            num_slots = len(slots)
-            vectorize = num_slots >= _VECTOR_MIN_ROWS
-            if vectorize:
-                # One 2D gather per node classifies every (edge, row) pair:
-                # requirement viability and memo state come out as boolean
-                # matrices whose row sums pre-count the dominant skip cases,
-                # so a pure-skip edge costs zero further numpy calls.
-                slots_np = np.asarray(slots, dtype=intp)
-                prefixes_np = np.asarray(prefixes, dtype=np.int64)
-                edge_units = np.array([edge[0] for edge in edges], dtype=intp)
-                edge_reqs = np.array(
-                    [edge[6] + 1 for edge in edges], dtype=intp
-                )
-                alive_mat = req_mat[np.ix_(edge_reqs, slots_np)] != 2
-                status_mat = unit_mat[np.ix_(edge_units, slots_np)]
-                alive_counts = alive_mat.sum(axis=1).tolist()
-                unknown_mat = alive_mat & (status_mat == 0)
-                need_evals = unknown_mat.any(axis=1).tolist()
-                none_mat = alive_mat & (status_mat == 2)
-                none_counts = none_mat.sum(axis=1).tolist()
-                ok_mat = alive_mat & (status_mat == 1)
-            for index, edge in enumerate(edges):
-                subtree = edge[5]
-                req_id = edge[6]
-                op = edge[1]
-                args = edge[2]
-                skipped = 0
-                failed = 0
-                child_slots: list[int] = []
-                child_prefixes: list[int] = []
-                if vectorize:
-                    n_alive = alive_counts[index]
-                    skipped = num_slots - n_alive
-                    if op == _OP_LITERAL and args[0]:
-                        if n_alive:
-                            if skipped:
-                                row_alive = alive_mat[index]
-                                sl = slots_np[row_alive]
-                                pf = prefixes_np[row_alive]
-                            else:
-                                sl = slots_np
-                                pf = prefixes_np
-                            text = args[0]
-                            matches = strings.startswith(
-                                targets_np[sl], text, pf
-                            )
-                            num_matched = int(matches.sum())
-                            failed = n_alive - num_matched
-                            if num_matched:
-                                child_slots = sl[matches].tolist()
-                                child_prefixes = (
-                                    pf[matches] + len(text)
-                                ).tolist()
-                    elif op == _OP_LITERAL:
-                        if not skipped:
-                            child_slots = slots
-                            child_prefixes = prefixes
-                        elif n_alive:
-                            row_alive = alive_mat[index]
-                            child_slots = slots_np[row_alive].tolist()
-                            child_prefixes = prefixes_np[row_alive].tolist()
-                    elif n_alive:
-                        # Only rows surviving the matrix classification —
-                        # descent candidates and positional failures, a
-                        # small minority — run the per-row startswith loop.
-                        # Batching the string compare too would cost more
-                        # than it saves: materializing the per-edge outputs
-                        # into a StringDType array is pricier than the
-                        # compares themselves.
-                        batched = False
-                        if need_evals[index]:
-                            fresh = evaluate_unit(
-                                edge, slots_np[unknown_mat[index]]
-                            )
-                            if fresh is not False and not ok_mat[index].any():
-                                # No memo-OK carry-over at this node, so the
-                                # eval arrays ARE its whole OK set: batch the
-                                # positional compare too.  Empty outputs are
-                                # pass-throughs in the reference; startswith
-                                # with an empty needle is True at any offset
-                                # and advances the prefix by zero, which is
-                                # the same thing.
-                                batched = True
-                                skipped += n_alive
-                                if fresh is not None:
-                                    good, good_outs = fresh
-                                    num_good = int(good.size)
-                                    skipped -= num_good
-                                    pf = prefixes_np[
-                                        np.searchsorted(slots_np, good)
-                                    ]
-                                    matches = strings.startswith(
-                                        targets_np[good], good_outs, pf
-                                    )
-                                    num_matched = int(matches.sum())
-                                    failed = num_good - num_matched
-                                    if num_matched:
-                                        child_slots = good[matches].tolist()
-                                        child_prefixes = (
-                                            pf[matches]
-                                            + strings.str_len(
-                                                good_outs[matches]
-                                            )
-                                        ).tolist()
-                            else:
-                                statuses = unit_views[edge[0]][slots_np]
-                                row_alive = alive_mat[index]
-                                num_none = int(
-                                    (row_alive & (statuses == 2)).sum()
-                                )
-                                ok_row = row_alive & (statuses == 1)
-                        else:
-                            num_none = none_counts[index]
-                            ok_row = ok_mat[index]
-                        if not batched:
-                            skipped += num_none
-                        if not batched and num_none != n_alive:
-                            out_col = unit_outs[edge[0]]
-                            descend_slot = child_slots.append
-                            descend_prefix = child_prefixes.append
-                            for slot, prefix in zip(
-                                slots_np[ok_row].tolist(),
-                                prefixes_np[ok_row].tolist(),
-                            ):
-                                output = out_col[slot]
-                                if output:
-                                    if targets[slot].startswith(output, prefix):
-                                        descend_slot(slot)
-                                        descend_prefix(prefix + len(output))
-                                    else:
-                                        failed += 1
-                                else:
-                                    descend_slot(slot)
-                                    descend_prefix(prefix)
-                else:
-                    req_col = req_cols[req_id] if req_id >= 0 else None
-                    descend_slot = child_slots.append
-                    descend_prefix = child_prefixes.append
-                    if op == _OP_LITERAL and args[0]:
-                        text = args[0]
-                        text_length = len(text)
-                        for slot, prefix in zip(slots, prefixes):
-                            if req_col[slot] == 2:
-                                skipped += 1
-                            elif targets[slot].startswith(text, prefix):
-                                descend_slot(slot)
-                                descend_prefix(prefix + text_length)
-                            else:
-                                failed += 1
-                    elif op == _OP_LITERAL:
-                        if req_col is None:
-                            child_slots = slots
-                            child_prefixes = prefixes
-                        else:
-                            for slot, prefix in zip(slots, prefixes):
-                                if req_col[slot] == 2:
-                                    skipped += 1
-                                else:
-                                    descend_slot(slot)
-                                    descend_prefix(prefix)
-                    elif op == _OP_SPLITSUBSTR:
-                        # The workhorse op keeps its own inlined loop with
-                        # the unit's parameters in locals, exactly like the
-                        # reference walker (its output is never empty, so
-                        # the emptiness branch disappears too).
-                        unit = edge[7]
-                        st_col = unit_states[edge[0]]
-                        out_col = unit_outs[edge[0]]
-                        delimiter, piece_index, start, end, delimiter_id = args
-                        output_length = end - start
-                        for slot, prefix in zip(slots, prefixes):
-                            if req_col is not None and req_col[slot] == 2:
-                                skipped += 1
-                                continue
-                            status = st_col[slot]
-                            if not status:
-                                if (
-                                    warm_any
-                                    and warms[slot]
-                                    and unit in block_cache[slot]
-                                ):
-                                    output = None
-                                else:
-                                    cache = split_caches[slot]
-                                    pieces = cache[delimiter_id]
-                                    if pieces is None:
-                                        pieces = cache[delimiter_id] = sources[
-                                            slot
-                                        ].split(delimiter)
-                                    num_pieces = len(pieces)
-                                    if (
-                                        num_pieces < 2
-                                        or piece_index >= num_pieces
-                                    ):
-                                        output = None
-                                    else:
-                                        piece = pieces[piece_index]
-                                        if end > len(piece):
-                                            output = None
-                                        else:
-                                            output = piece[start:end]
-                                            if output not in targets[slot]:
-                                                output = None
-                                if output is None:
-                                    st_col[slot] = 2
-                                    skipped += 1
-                                    continue
-                                st_col[slot] = 1
-                                out_col[slot] = output
-                            elif status == 2:
-                                skipped += 1
-                                continue
-                            else:
-                                output = out_col[slot]
-                            if targets[slot].startswith(output, prefix):
-                                descend_slot(slot)
-                                descend_prefix(prefix + output_length)
-                            else:
-                                failed += 1
-                    else:
-                        unit = edge[7]
-                        st_col = unit_states[edge[0]]
-                        out_col = unit_outs[edge[0]]
-                        for slot, prefix in zip(slots, prefixes):
-                            if req_col is not None and req_col[slot] == 2:
-                                skipped += 1
-                                continue
-                            status = st_col[slot]
-                            if not status:
-                                if (
-                                    warm_any
-                                    and warms[slot]
-                                    and unit in block_cache[slot]
-                                ):
-                                    output = None
-                                else:
-                                    source = sources[slot]
-                                    if op == _OP_SPLIT:
-                                        cache = split_caches[slot]
-                                        pieces = cache[args[2]]
-                                        if pieces is None:
-                                            pieces = cache[args[2]] = (
-                                                source.split(args[0])
-                                            )
-                                        num_pieces = len(pieces)
-                                        if (
-                                            num_pieces < 2
-                                            or args[1] >= num_pieces
-                                        ):
-                                            output = None
-                                        else:
-                                            output = pieces[args[1]]
-                                    elif op == _OP_SUBSTR:
-                                        output = (
-                                            source[args[0] : args[1]]
-                                            if args[1] <= len(source)
-                                            else None
-                                        )
-                                    elif op == _OP_TWOCHAR:
-                                        key = (args[0], args[1])
-                                        tcache = tsplit_caches[slot]
-                                        pieces = tcache.get(key, False)
-                                        if pieces is False:
-                                            if (
-                                                args[0] in source
-                                                or args[1] in source
-                                            ):
-                                                mode = args[5]
-                                                if mode == 2:
-                                                    pieces = source.replace(
-                                                        args[1], args[0]
-                                                    ).split(args[0])
-                                                elif mode == 1:
-                                                    pieces = source.split(
-                                                        args[0]
-                                                    )
-                                                elif mode == -1:
-                                                    pieces = source.split(
-                                                        args[1]
-                                                    )
-                                                else:
-                                                    pieces = [source]
-                                            else:
-                                                pieces = None
-                                            tcache[key] = pieces
-                                        if pieces is None or args[2] >= len(
-                                            pieces
-                                        ):
-                                            output = None
-                                        else:
-                                            piece = pieces[args[2]]
-                                            output = (
-                                                piece[args[3] : args[4]]
-                                                if args[4] <= len(piece)
-                                                else None
-                                            )
-                                    else:
-                                        output = args[0](source)
-                                    if (
-                                        output is not None
-                                        and output
-                                        and output not in targets[slot]
-                                    ):
-                                        output = None
-                                if output is None:
-                                    st_col[slot] = 2
-                                    skipped += 1
-                                    continue
-                                st_col[slot] = 1
-                                out_col[slot] = output
-                            elif status == 2:
-                                skipped += 1
-                                continue
-                            else:
-                                output = out_col[slot]
-                            if output:
-                                if targets[slot].startswith(output, prefix):
-                                    descend_slot(slot)
-                                    descend_prefix(prefix + len(output))
-                                else:
-                                    failed += 1
-                            else:
-                                descend_slot(slot)
-                                descend_prefix(prefix)
-                if skipped:
-                    if use_cache:
-                        hits += skipped * subtree
-                    else:
-                        misses += skipped * subtree
-                if failed:
-                    misses += failed * subtree
-                if child_slots:
-                    push((edge[3], edge[4], child_slots, child_prefixes))
-
+                misses += skipped
+            misses += failed + reached
+            applications += reached
+            nodes.append(block_nodes)
+            rows.append(block_rows_covered + row_offset + block_start)
+    covered: dict[int, list[int]] = {}
+    if nodes:
+        node = np.concatenate(nodes)
+        row = np.concatenate(rows)
+        count = tables.terminal_count[node]
+        terminal = tables.terminals[_ranges(np, tables.node_terminals[node], count)]
+        keys = np.sort(terminal << 32 | np.repeat(row, count))
+        terminal = keys >> 32
+        row = keys & 0xFFFFFFFF
+        firsts = np.flatnonzero(np.diff(terminal, prepend=-1))
+        bounds = firsts.tolist() + [len(row)]
+        row_ids = row.tolist()
+        for index, begin, end in zip(terminal[firsts].tolist(), bounds, bounds[1:]):
+            covered[index] = row_ids[begin:end]
     return covered, hits, misses, applications, rows_processed
 
 
-__all__ = ["available", "walk_trie_rows_numpy"]
+__all__ = ["walk_trie_rows_numpy"]

@@ -4,14 +4,12 @@ The numpy tier of :mod:`repro.kernels` is an *implementation* of the serial
 Python walkers, never a reinterpretation — so equality here is exact, not
 approximate, at three levels:
 
-* **op level** — every py/np dual in :mod:`repro.kernels.blocks` and
-  :mod:`repro.kernels.bitset` computes elementwise-equal values on
-  randomized inputs;
-* **walker level** — the numpy coverage walker returns the same covered
-  rows *and the same cache statistics* as the reference walk (every cache
-  is per-row, so the tallies are tier-invariant), and the numpy apply
-  walker returns the same ``(row, output)`` pairs as the reference, both
-  pinned to ``Transformation.apply`` row by row;
+* **op level** — every py/np dual in :mod:`repro.kernels.bitset` computes
+  equal values on randomized inputs;
+* **walker level** — the numpy apply walker returns the same ``(row,
+  output)`` pairs as the reference, pinned to ``Transformation.apply`` row
+  by row (the coverage kernel has its own differential suite,
+  ``test_property_coverage_kernel.py``);
 * **engine level** — ``CoverageComputer`` produces identical coverage
   under ``use_tier("python")`` and ``use_tier("numpy")`` across worker
   counts {1, 2, 3}.  The n-gram matching kernels have their own
@@ -40,7 +38,7 @@ from repro.core.coverage import (
 from repro.core.pairs import pairs_from_strings
 from repro.core.transformation import Transformation
 from repro.core.units import Literal, Split, SplitSubstr, Substr
-from repro.kernels import bitset, blocks
+from repro.kernels import bitset
 from repro.model.apply import _transform_trie_rows_python
 
 NUMPY_TIER = kernels.numpy_or_none() is not None
@@ -82,88 +80,8 @@ STRING_PAIRS = st.lists(st.tuples(CELL, CELL), min_size=0, max_size=10)
 
 
 # --------------------------------------------------------------------------
-# Op level: the py/np duals of repro.kernels.blocks / repro.kernels.bitset.
+# Op level: the py/np duals of repro.kernels.bitset.
 # --------------------------------------------------------------------------
-
-
-@needs_numpy
-@given(statuses=st.lists(st.integers(min_value=0, max_value=2), max_size=60))
-def test_partition_statuses_dual(statuses):
-    assert blocks.partition_statuses_np(statuses) == (
-        blocks.partition_statuses_py(statuses)
-    )
-
-
-@st.composite
-def _startswith_cases(draw):
-    """Rows of (target, prefix, valid start offset) — offsets never exceed
-    the target length, matching the walker's caller guarantee."""
-    targets = draw(st.lists(CELL, max_size=20))
-    prefixes = [
-        draw(st.text(alphabet="ab, .", max_size=4)) for _ in targets
-    ]
-    starts = [
-        draw(st.integers(min_value=0, max_value=len(target)))
-        for target in targets
-    ]
-    return targets, prefixes, starts
-
-
-@needs_numpy
-@given(case=_startswith_cases())
-def test_startswith_at_dual(case):
-    targets, prefixes, starts = case
-    assert blocks.startswith_at_np(targets, prefixes, starts) == (
-        blocks.startswith_at_py(targets, prefixes, starts)
-    )
-
-
-@needs_numpy
-@given(
-    targets=st.lists(CELL, max_size=20),
-    outputs=st.lists(st.text(alphabet="ab, .", max_size=5), max_size=20),
-)
-def test_find_positions_dual(targets, outputs):
-    n = min(len(targets), len(outputs))
-    targets, outputs = targets[:n], outputs[:n]
-    assert blocks.find_positions_np(targets, outputs) == (
-        blocks.find_positions_py(targets, outputs)
-    )
-
-
-@needs_numpy
-@given(
-    member_ends=st.lists(
-        st.integers(min_value=0, max_value=20), max_size=10
-    ).map(sorted),
-    piece_lengths=st.lists(st.integers(min_value=0, max_value=25), max_size=30),
-)
-def test_slice_cuts_dual(member_ends, piece_lengths):
-    assert blocks.slice_cuts_np(member_ends, piece_lengths) == (
-        blocks.slice_cuts_py(member_ends, piece_lengths)
-    )
-
-
-@needs_numpy
-@given(
-    pieces=st.lists(
-        st.text(alphabet="abcde", min_size=6, max_size=12), max_size=20
-    ),
-    start=st.integers(min_value=0, max_value=6),
-    length=st.integers(min_value=0, max_value=6),
-)
-def test_slice_pieces_dual(pieces, start, length):
-    # end <= 6 <= len(piece): the callers' in-bounds guarantee.
-    end = min(start + length, 6)
-    assert blocks.slice_pieces_np(pieces, start, end) == (
-        blocks.slice_pieces_py(pieces, start, end)
-    )
-
-
-@needs_numpy
-@given(texts=st.lists(CELL, max_size=30))
-def test_str_lengths_dual(texts):
-    assert blocks.str_lengths_np(texts) == blocks.str_lengths_py(texts)
 
 
 ROW_SETS = st.lists(
@@ -206,38 +124,6 @@ def test_bitset_dispatchers_roundtrip_on_active_tier(row_sets):
 # --------------------------------------------------------------------------
 # Walker level: the block walkers against the serial reference walks.
 # --------------------------------------------------------------------------
-
-
-@needs_numpy
-@settings(deadline=None, max_examples=60)
-@given(
-    string_pairs=STRING_PAIRS,
-    transformations=TRANSFORMATIONS,
-    row_offset=st.sampled_from([0, 7]),
-    use_cache=st.booleans(),
-)
-def test_coverage_walker_identical(
-    string_pairs, transformations, row_offset, use_cache
-):
-    """The numpy coverage walk returns the reference's exact tuple:
-    covered rows per transformation, cache hits/misses, applications,
-    rows processed."""
-    from repro.kernels.coverage import available, walk_trie_rows_numpy
-
-    if not available():
-        pytest.skip("numpy coverage walker not available")
-    pairs = pairs_from_strings(string_pairs)
-    trie = _build_unit_trie(transformations)
-    # Fresh cache state per walk: with use_cache the walkers *write* the
-    # per-row non-covering sets, so sharing one list would leak state from
-    # the reference walk into the kernel walk.
-    reference = _walk_trie_rows_python(
-        pairs, row_offset, trie, [set() for _ in pairs], use_cache
-    )
-    vectorized = walk_trie_rows_numpy(
-        pairs, row_offset, trie, [set() for _ in pairs], use_cache
-    )
-    assert vectorized == reference
 
 
 @needs_numpy

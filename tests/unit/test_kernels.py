@@ -1,12 +1,13 @@
 """Unit tests for the kernel tier: selection machinery, op duals, guards.
 
-Three surfaces live here:
+Four surfaces live here:
 
 * the tier resolution of :mod:`repro.kernels` — probe, override, error
   cases, and the write-through/restore behaviour of ``use_tier``;
-* fixed-case checks of every py/np op pair in
-  :mod:`repro.kernels.blocks` and :mod:`repro.kernels.bitset` (the
-  randomized sweeps live in ``tests/property/test_property_kernels.py``);
+* fixed-case checks of every py/np op pair in :mod:`repro.kernels.bitset`
+  (the randomized sweeps live in ``tests/property/test_property_kernels.py``);
+* fixed-case checks of the coverage kernel's array helpers and of the
+  lone-surrogate fallbacks;
 * the plumbing that keeps benchmarks honest about the tier — the
   tier-aware worker tuning, the BENCH host block, the mixed-tier
   comparison rejection, and the ``--kernels`` CLI flags.
@@ -21,7 +22,7 @@ from __future__ import annotations
 import pytest
 
 from repro import kernels
-from repro.kernels import bitset, blocks
+from repro.kernels import bitset
 
 
 def _np_or_skip():
@@ -99,58 +100,103 @@ class TestTierResolution:
             assert kernels.numpy_version() == expected
 
 
-class TestBlockOps:
-    """Fixed-case py/np equality of every block op pair."""
+class TestLoneSurrogates:
+    """Values ``StringDType`` cannot hold (lone surrogates) are walked by
+    the spec, so the numpy tier gives the Python tier's result."""
 
-    def test_partition_statuses(self):
-        _np_or_skip()
-        statuses = [0, 1, 2, 2, 0, 1, 1, 0, 2]
-        assert blocks.partition_statuses_np(statuses) == (
-            blocks.partition_statuses_py(statuses)
+    # 100 rows: above the apply kernel's micro-batch cutoff.
+    SOURCES = [f"Smi\udcff, John{i}" for i in range(100)] + ["Doe, Jane"]
+
+    @staticmethod
+    def _tiers():
+        return ["python"] + (["numpy"] if kernels.numpy_or_none() else [])
+
+    def test_join_values_with_surrogate_sources(self):
+        from repro.core.transformation import Transformation
+        from repro.core.units import Literal, SplitSubstr
+        from repro.join.joiner import TransformationJoiner
+
+        transformation = Transformation(
+            [SplitSubstr(" ", 2, 0, 1), Literal(". "), SplitSubstr(",", 1, 0, 3)]
         )
-        assert blocks.partition_statuses_py(statuses) == (
-            [0, 4, 7],
-            [1, 5, 6],
-            3,
+        joined = []
+        for tier in self._tiers():
+            with kernels.use_tier(tier):
+                joiner = TransformationJoiner([transformation])
+                joined.append(
+                    sorted(joiner.join_values(self.SOURCES, ["J. Smi", "J. Doe"]).pairs)
+                )
+        assert joined[0] == [(row, 0) for row in range(100)] + [(100, 1)]
+        assert all(pairs == joined[0] for pairs in joined)
+
+    def test_apply_walk_with_surrogate_literal(self):
+        from repro.core.coverage import _build_unit_trie
+        from repro.core.transformation import Transformation
+        from repro.core.units import Literal, Split
+        from repro.model.apply import transform_trie_rows
+
+        trie = _build_unit_trie(
+            [
+                Transformation([Literal("\udcff"), Split(",", 1)]),
+                Transformation([Split(",", 2)]),
+            ]
         )
-        assert blocks.partition_statuses_np([]) == ([], [], 0)
+        values = [value.replace("\udcff", "") for value in self.SOURCES]
+        outputs = []
+        for tier in self._tiers():
+            with kernels.use_tier(tier):
+                outputs.append(transform_trie_rows(values, 0, trie))
+        assert outputs[0][0][0] == (0, "\udcffSmi")
+        assert all(output == outputs[0] for output in outputs)
 
-    def test_startswith_at(self):
-        _np_or_skip()
-        targets = ["abcdef", "abcdef", "abcdef", "xy", "xy", ""]
-        prefixes = ["abc", "cde", "", "xyz", "", ""]
-        starts = [0, 2, 3, 0, 2, 0]
-        expected = blocks.startswith_at_py(targets, prefixes, starts)
-        assert expected == [True, True, True, False, True, True]
-        assert blocks.startswith_at_np(targets, prefixes, starts) == expected
 
-    def test_find_positions(self):
-        _np_or_skip()
-        targets = ["hello world", "hello world", "abc", ""]
-        outputs = ["world", "xyz", "", "a"]
-        expected = blocks.find_positions_py(targets, outputs)
-        assert expected == [6, -1, 0, -1]
-        assert blocks.find_positions_np(targets, outputs) == expected
+class TestCoverageKernelHelpers:
+    """Fixed-case checks of the array helpers the coverage kernel's level
+    pass is built from."""
 
-    def test_slice_cuts(self):
-        _np_or_skip()
-        member_ends = [2, 4, 4, 7]
-        lengths = [0, 2, 3, 4, 5, 7, 9]
-        expected = blocks.slice_cuts_py(member_ends, lengths)
-        assert blocks.slice_cuts_np(member_ends, lengths) == expected
+    def test_encode_pads_each_value(self):
+        np = _np_or_skip()
+        from repro.kernels.coverage import _SOURCE_PAD, _encode
 
-    def test_slice_pieces(self):
-        _np_or_skip()
-        pieces = ["abcdef", "ghijkl", "mnopqr"]
-        for start, end in [(0, 3), (1, 5), (2, 2), (0, 6)]:
-            assert blocks.slice_pieces_np(pieces, start, end) == (
-                blocks.slice_pieces_py(pieces, start, end)
-            )
+        flat, starts, lengths = _encode(np, ["ab", "", "\udcffc"], _SOURCE_PAD)
+        pad = _SOURCE_PAD
+        assert flat.tolist() == [97, 98, pad, pad, 0xDCFF, 99, pad]
+        assert starts.tolist() == [0, 3, 4]
+        assert lengths.tolist() == [2, 0, 2]
+        empty, starts, lengths = _encode(np, [], _SOURCE_PAD)
+        assert (empty.tolist(), starts.tolist(), lengths.tolist()) == ([], [], [])
 
-    def test_str_lengths(self):
-        _np_or_skip()
-        texts = ["", "a", "abcdef", "hello world"]
-        assert blocks.str_lengths_np(texts) == blocks.str_lengths_py(texts)
+    def test_code_table(self):
+        np = _np_or_skip()
+        from repro.kernels.coverage import _code_table
+
+        table = _code_table(np, {97: 1, 3: 0})
+        assert len(table) == 99
+        assert (table[97], table[3], table[-1]) == (1, 0, -1)
+        assert int((table == -1).sum()) == 97
+        assert _code_table(np, {}).tolist() == [-1]
+
+    def test_chunks_cover_every_count(self, monkeypatch):
+        np = _np_or_skip()
+        from repro.kernels import coverage as coverage_kernel
+
+        counts = np.array([3, 2, 5, 1, 0, 4])
+        assert coverage_kernel._chunks(np, counts) == [(0, 6)]
+        monkeypatch.setattr(coverage_kernel, "_CHUNK_ITEMS", 4)
+        assert coverage_kernel._chunks(np, counts) == [
+            (0, 1), (1, 2), (2, 5), (5, 6),
+        ]
+        assert coverage_kernel._chunks(np, np.array([], dtype=np.int64)) == []
+
+    def test_ranges(self):
+        np = _np_or_skip()
+        from repro.kernels.coverage import _ranges
+
+        firsts = np.array([5, 0, 10])
+        counts = np.array([2, 0, 3])
+        assert _ranges(np, firsts, counts).tolist() == [5, 6, 10, 11, 12]
+        none = np.array([], dtype=np.int64)
+        assert _ranges(np, none, none).tolist() == []
 
 
 class TestBitsetOps:
