@@ -5,15 +5,21 @@ fraction of candidate pairs it covers) reaches a threshold to the source
 column; a source row joins a target row whenever any applied transformation
 maps the source cell to exactly the target cell.
 
-The application itself is the batched apply engine of
-:mod:`repro.model.apply`: the transformation set is compiled once into the
-packed unit-prefix trie (shared unit prefixes evaluated once per row, one
-``str.split`` per (delimiter, row)), walked serially or row-sharded across a
-process pool (``num_workers``), and the transformed values are equi-joined
-through the packed :class:`~repro.matching.index.ValueIndex`.  The
+The application compiles the transformation set once into the packed
+unit-prefix trie of :mod:`repro.model.apply` (shared unit prefixes
+evaluated once per row), walked serially or row-sharded across a process
+pool (``num_workers``), and equi-joins the outputs against the packed
+target :class:`~repro.matching.index.ValueIndex`.  Under the numpy kernel
+tier, batches of :data:`~repro.kernels.apply._APPLY_MIN_ROWS` rows or more
+take the fused apply-and-probe kernel of :mod:`repro.kernels.apply`: it
+carries each output as a hash over code points, probes the index's hashed
+target table and verifies every hit, so no transformed string is built;
+its (transformation, source row, target row) triples are ordered and
+de-duplicated with numpy.  Smaller batches and the pure-Python tier walk
+the trie per row and probe the index value by value.  The
 one-transformation-at-a-time loop survives as
-:meth:`TransformationJoiner.join_values_reference` — the executable spec the
-equivalence tests compare the batched path against.
+:meth:`TransformationJoiner.join_values_reference` — the executable spec
+both paths reproduce pair for pair.
 """
 
 from __future__ import annotations
@@ -24,8 +30,10 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 from time import monotonic
 
+from repro import kernels
 from repro.core.coverage import CoverageResult
 from repro.core.transformation import Transformation
+from repro.kernels.apply import _APPLY_MIN_ROWS, first_matches
 from repro.matching.index import ValueIndex
 from repro.model.apply import TransformationApplier
 from repro.parallel.errors import DeadlineExceededError
@@ -37,7 +45,10 @@ def target_values_key(values: Sequence[str]) -> bytes:
     """A collision-resistant identity digest of a target value list.
 
     Length-prefixed so value boundaries cannot alias (``["ab","c"]`` and
-    ``["a","bc"]`` digest differently).  This is the cache key for prebuilt
+    ``["a","bc"]`` digest differently).  Lone surrogates (``json.loads``
+    makes them from ``"\\udcff"`` escapes) are encoded with
+    ``surrogatepass``; valid UTF-8 never holds those byte sequences, so the
+    encoding stays injective.  This is the cache key for prebuilt
     target :class:`ValueIndex` objects — on the joiner's most-recent-target
     cache and in the serving registry's bounded index cache — so it must
     never collide for differing inputs in practice; a 128-bit blake2b digest
@@ -46,7 +57,7 @@ def target_values_key(values: Sequence[str]) -> bytes:
     digest = hashlib.blake2b(digest_size=16)
     digest.update(len(values).to_bytes(8, "little"))
     for value in values:
-        raw = value.encode("utf-8")
+        raw = value.encode("utf-8", "surrogatepass")
         digest.update(len(raw).to_bytes(8, "little"))
         digest.update(raw)
     return digest.digest()
@@ -308,13 +319,15 @@ class TransformationJoiner:
 
         The batched path compiles the transformation set once (the compiled
         trie is cached on the joiner, so repeated calls — the apply-many
-        scenario — pay the build exactly once), transforms every source row
-        through it (sharded over rows when ``num_workers`` resolves above 1
-        — see :func:`~repro.parallel.executor.tuned_num_workers`), and
-        probes the packed target :class:`ValueIndex` in the same
-        transformation-major order as the reference loop, so pairs, order
-        and first-match attribution are identical to
-        :meth:`join_values_reference`.
+        scenario — pay the build exactly once) and applies it to every
+        source row (sharded over rows when ``num_workers`` resolves above 1
+        — see :func:`~repro.parallel.executor.tuned_num_workers`).  Under
+        the numpy tier, batches of 64 rows or more run the fused
+        apply-and-probe kernel against the index's hashed target table;
+        the others transform each row and probe the packed target
+        :class:`ValueIndex` value by value.  Either way pairs, their
+        transformation-major order and first-match attribution are
+        identical to :meth:`join_values_reference`.
 
         The target index is likewise built at most once per target column:
         pass a prebuilt *target_index* (see :meth:`build_target_index` — the
@@ -365,6 +378,30 @@ class TransformationJoiner:
                 applier = self._applier = TransformationApplier(
                     self._transformations
                 )
+        table = None
+        if (
+            len(source_values) >= _APPLY_MIN_ROWS
+            and kernels.numpy_or_none() is not None
+        ):
+            table = target_index.join_table()
+        if table is not None:
+            triples = applier.join_rows(
+                source_values,
+                table,
+                num_workers=self._num_workers,
+                min_rows_per_worker=self._min_rows_per_worker,
+                task_timeout=task_timeout,
+                shard_retries=self._shard_retries,
+                serial_fallback=self._serial_fallback,
+                deadline=deadline,
+            )
+            index, rows, target_rows = first_matches(*triples, table.num_rows)
+            pairs = list(zip(rows.tolist(), target_rows.tolist()))
+            transformations = self._transformations
+            return JoinResult(
+                pairs,
+                dict(zip(pairs, map(transformations.__getitem__, index.tolist()))),
+            )
         outputs = applier.transform_rows(
             source_values,
             num_workers=self._num_workers,
@@ -463,18 +500,17 @@ class TransformationJoiner:
         ``materialize`` flag) compute the join once and materialize from it,
         instead of paying the apply stage twice.
         """
+        source_rows = [pair[0] for pair in join_result.pairs]
+        target_rows = [pair[1] for pair in join_result.pairs]
         columns: dict[str, list[str]] = {}
-        for name in source.column_names:
-            columns[f"{name}_source"] = []
-        for name in target.column_names:
-            columns[f"{name}_target"] = []
-        columns["__left_row__"] = []
-        columns["__right_row__"] = []
-        for source_row, target_row in join_result.pairs:
-            for name in source.column_names:
-                columns[f"{name}_source"].append(source[name][source_row])
-            for name in target.column_names:
-                columns[f"{name}_target"].append(target[name][target_row])
-            columns["__left_row__"].append(str(source_row))
-            columns["__right_row__"].append(str(target_row))
+        for table, rows, suffix in (
+            (source, source_rows, "_source"),
+            (target, target_rows, "_target"),
+        ):
+            for name in table.column_names:
+                columns[name + suffix] = list(
+                    map(table[name].values.__getitem__, rows)
+                )
+        columns["__left_row__"] = list(map(str, source_rows))
+        columns["__right_row__"] = list(map(str, target_rows))
         return Table(columns, name=f"{source.name}_tjoin_{target.name}")

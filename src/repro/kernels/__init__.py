@@ -4,10 +4,12 @@ The trie walkers of :mod:`repro.core.coverage` and :mod:`repro.model.apply`
 are pure-Python object code; this package provides numpy-backed batch
 implementations of them — bitset ops over covered-row masks
 (:mod:`repro.kernels.bitset`), the level-synchronous coverage walk over
-code-point arrays (:mod:`repro.kernels.coverage`) and the apply block walker
-(:mod:`repro.kernels.apply`).  The row matchers have kernels too: the
-interned n-gram passes of the packed matcher (:mod:`repro.kernels.ngrams`)
-and setsim's posting filters (:mod:`repro.kernels.setsim`).
+code-point arrays (:mod:`repro.kernels.coverage`) and, on the same arrays,
+the fused apply-and-probe join (:mod:`repro.kernels.apply`), which hashes
+transformation outputs instead of building them.  The row matchers have
+kernels too: the interned n-gram passes of the packed matcher
+(:mod:`repro.kernels.ngrams`) and setsim's posting filters
+(:mod:`repro.kernels.setsim`).
 
 The tier is **optional and byte-identical**: one capability probe at first
 use decides whether numpy is importable, and every kernel has a pure-Python

@@ -115,8 +115,15 @@ def _ranges(np: Any, firsts: Any, counts: Any) -> Any:
     return np.arange(total) + np.repeat(firsts - (np.cumsum(counts) - counts), counts)
 
 
-class _Tables:
-    """Per-walk numpy views of the trie's CSR arrays and anchor metadata."""
+class _TrieSpans:
+    """The trie's CSR arrays and its edges' span arguments, shared by the
+    coverage and apply kernels.
+
+    Literal, Substr and single-character Split/SplitSubstr edges are *span*
+    edges: their output is a span of the block's code array (see
+    :meth:`_Sources.spans`).  The other edges are *slow*: the kernels apply
+    their units per item in Python.
+    """
 
     def __init__(self, np: Any, trie: "PackedTrie") -> None:
         from repro.core.coverage import (
@@ -136,6 +143,7 @@ class _Tables:
         self.node_terminals = node_terminals[:-1]
         self.terminal_count = np.diff(node_terminals)
         self.terminals = np.asarray(arrays.terminals, dtype=np.int64)
+        self.root = len(self.node_edges) - 1
         table = np.asarray(arrays.edges, dtype=np.int64).reshape(-1, EDGE_FIELDS)
         op, self.child, self.subtree, req, arg0, arg1, arg2, arg3 = (
             np.ascontiguousarray(column) for column in table.T
@@ -154,11 +162,12 @@ class _Tables:
         self.start = arg2 * span
         self.end = np.where(span, arg3, -1)
         self.literal = literal
+        # Anchor text id of each non-empty literal edge, else -1.
+        self.text_id = np.where(literal & (arg0 >= 0), arg0, -1)
         texts = trie.anchor_texts
         text_lengths = np.fromiter(map(len, texts), dtype=np.int64, count=len(texts))
         text_offsets = np.cumsum(text_lengths + 1) - text_lengths - 1
-        anchored = literal & (arg0 >= 0)
-        self.literal_offset = np.append(text_offsets, 0)[np.where(anchored, arg0, -1)]
+        self.literal_offset = np.append(text_offsets, 0)[self.text_id]
         self.literal_length = arg1 * literal
         self.literal_pool = _encode(np, texts, _SOURCE_PAD)[0]
         # Delimiter ids by code point (single-character delimiters only).
@@ -167,14 +176,22 @@ class _Tables:
             {ord(d): i for i, d in enumerate(arrays.delimiters) if len(d) == 1},
         )
         self.num_delimiters = len(arrays.delimiters)
+
+
+class _Tables(_TrieSpans):
+    """Per-walk numpy views of the trie: the shared span tables plus the
+    coverage walk's root split and anchor metadata."""
+
+    def __init__(self, np: Any, trie: "PackedTrie") -> None:
+        super().__init__(np, trie)
+        texts = trie.anchor_texts
         # The root, split three ways: non-empty literal edges by anchor text
         # id; fixed-length slices (Substr, SplitSubstr) grouped by the piece
         # they slice and then by slice start; every other edge.
-        self.root = len(self.node_edges) - 1
         first = int(self.node_edges[self.root])
         root_edges = np.arange(first, first + int(self.edge_count[self.root]))
-        root_literal = anchored[root_edges]
-        root_slice = span[root_edges] & (arg3[root_edges] >= 0)
+        root_literal = self.text_id[root_edges] >= 0
+        root_slice = self.end[root_edges] >= 0
         self.root_other = root_edges[~root_literal & ~root_slice]
         groups: dict[tuple[int, int], list[int]] = {}
         for edge in root_edges[root_slice].tolist():
@@ -193,7 +210,7 @@ class _Tables:
             )
         literal_edges = root_edges[root_literal]
         self.root_literal_edge = np.full(len(texts), -1, dtype=np.int64)
-        self.root_literal_edge[arg0[literal_edges]] = literal_edges
+        self.root_literal_edge[self.text_id[literal_edges]] = literal_edges
         self.root_literal_total = int(self.subtree[literal_edges].sum())
         # Required sets: each text's sets (CSR) and every set's size.
         req_sets = trie.req_sets
@@ -233,46 +250,23 @@ class _Tables:
             self.state_text[state] = text_id
 
 
-class _Block:
-    """One block of rows walked level by level."""
+class _Sources:
+    """One block of source values as code points, with the split tables
+    that give every span edge's output as a span of :attr:`codes`."""
 
-    def __init__(
-        self,
-        np: Any,
-        tables: _Tables,
-        pairs: "Sequence[RowPair]",
-        use_cache: bool,
-    ) -> None:
+    def __init__(self, np: Any, tables: _TrieSpans, sources: Sequence[str]) -> None:
         self.np = np
         self.tables = tables
-        self.use_cache = use_cache
-        self.sources = [pair.source for pair in pairs]
-        self.targets = [pair.target for pair in pairs]
-        self.rows = len(pairs)
+        self.sources = sources
+        self.rows = len(sources)
         source, self.source_start, self.source_length = _encode(
-            np, self.sources, _SOURCE_PAD
-        )
-        self.target, self.target_start, self.target_length = _encode(
-            np, self.targets, _TARGET_PAD
+            np, sources, _SOURCE_PAD
         )
         self.source_size = len(source)
         self.source_rows = np.repeat(np.arange(self.rows), self.source_length + 1)
         self.codes = np.concatenate([source, tables.literal_pool])
-        self.target_rows = np.repeat(np.arange(self.rows), self.target_length)
-        self.target_positions = np.flatnonzero(self.target != _TARGET_PAD)
         self._split_tables()
-        self._anchor_tables()
-        # Matching statistics, filled lazily (see _match_lengths).
-        self.match_length = np.zeros(self.source_size, dtype=np.int64)
-        self.match_cap = np.zeros(self.source_size, dtype=np.int64)
-        self.scratch_longest = np.zeros(self.source_size, dtype=np.int64)
-        self.scratch_claim = np.zeros(self.source_size, dtype=np.int64)
-        self.target_index: tuple[Any, Any] | None = None
-        self.slow_memo: dict[tuple[int, int], str | None] = {}
 
-    # ------------------------------------------------------------------ #
-    # Per-block tables
-    # ------------------------------------------------------------------ #
     def _split_tables(self) -> None:
         """Piece boundaries of every (delimiter, row) whose source contains
         the delimiter: the row start - 1, each delimiter position, the row
@@ -309,6 +303,71 @@ class _Block:
         self.boundary_first = np.zeros(len(self.delimiter_count), dtype=np.int64)
         self.boundary_first[key[opens]] = lead
 
+    def spans(self, edge: Any, row: Any) -> tuple[Any, Any, Any]:
+        """``(valid, offset, length)``: where each span edge applies to its
+        row, and its output as a span of :attr:`codes`."""
+        np = self.np
+        tables = self.tables
+        # The piece a span slices: the whole source, or a split piece.
+        piece_start = self.source_start[row]
+        piece_end = piece_start + self.source_length[row]
+        valid = np.ones(len(edge), dtype=bool)
+        delimiter = tables.delimiter[edge]
+        split = np.flatnonzero(delimiter >= 0)
+        if len(split):
+            key = delimiter[split] * self.rows + row[split]
+            piece = tables.piece[edge[split]]
+            exists = self.delimiter_count[key] >= np.maximum(piece, 1)
+            valid[split] = exists
+            split = split[exists]
+            bound = self.boundary_first[key[exists]] + piece[exists]
+            piece_start[split] = self.boundaries[bound] + 1
+            piece_end[split] = self.boundaries[bound + 1]
+        start = tables.start[edge]
+        end = tables.end[edge]
+        valid &= piece_end - piece_start >= end
+        offset = piece_start + start
+        length = np.where(end < 0, piece_end - piece_start, end - start)
+        literal = tables.literal[edge]
+        offset = np.where(
+            literal, self.source_size + tables.literal_offset[edge], offset
+        )
+        length = np.where(literal, tables.literal_length[edge], length)
+        return valid, offset, length
+
+
+class _Block(_Sources):
+    """One block of rows walked level by level."""
+
+    tables: _Tables
+
+    def __init__(
+        self,
+        np: Any,
+        tables: _Tables,
+        pairs: "Sequence[RowPair]",
+        use_cache: bool,
+    ) -> None:
+        super().__init__(np, tables, [pair.source for pair in pairs])
+        self.use_cache = use_cache
+        self.targets = [pair.target for pair in pairs]
+        self.target, self.target_start, self.target_length = _encode(
+            np, self.targets, _TARGET_PAD
+        )
+        self.target_rows = np.repeat(np.arange(self.rows), self.target_length)
+        self.target_positions = np.flatnonzero(self.target != _TARGET_PAD)
+        self._anchor_tables()
+        # Matching statistics, filled lazily (see _match_lengths).
+        self.match_length = np.zeros(self.source_size, dtype=np.int64)
+        self.match_cap = np.zeros(self.source_size, dtype=np.int64)
+        self.scratch_longest = np.zeros(self.source_size, dtype=np.int64)
+        self.scratch_claim = np.zeros(self.source_size, dtype=np.int64)
+        self.target_index: tuple[Any, Any] | None = None
+        self.slow_memo: dict[tuple[int, int], str | None] = {}
+
+    # ------------------------------------------------------------------ #
+    # Per-block tables
+    # ------------------------------------------------------------------ #
     def _anchor_tables(self) -> None:
         """Which anchor texts each target contains, and the viability of
         every required set per row."""
@@ -493,32 +552,7 @@ class _Block:
         item = np.flatnonzero(alive)
         edge = edges[item]
         row = rows[item]
-        # The piece a span slices: the whole source, or a split piece.
-        piece_start = self.source_start[row]
-        piece_end = piece_start + self.source_length[row]
-        valid = np.ones(len(item), dtype=bool)
-        delimiter = tables.delimiter[edge]
-        split = np.flatnonzero(delimiter >= 0)
-        if len(split):
-            key = delimiter[split] * self.rows + row[split]
-            piece = tables.piece[edge[split]]
-            exists = self.delimiter_count[key] >= np.maximum(piece, 1)
-            valid[split] = exists
-            split = split[exists]
-            bound = self.boundary_first[key[exists]] + piece[exists]
-            piece_start[split] = self.boundaries[bound] + 1
-            piece_end[split] = self.boundaries[bound + 1]
-        start = tables.start[edge]
-        end = tables.end[edge]
-        whole = end < 0
-        valid &= piece_end - piece_start >= end
-        offset = piece_start + start
-        length = np.where(whole, piece_end - piece_start, end - start)
-        literal = tables.literal[edge]
-        offset = np.where(
-            literal, self.source_size + tables.literal_offset[edge], offset
-        )
-        length = np.where(literal, tables.literal_length[edge], length)
+        valid, offset, length = self.spans(edge, row)
         # Empty outputs pass through; the rest must match at the prefix.
         empty = np.flatnonzero(valid & (length == 0))
         check = np.flatnonzero(valid & (length > 0))
@@ -535,7 +569,7 @@ class _Block:
         if self.use_cache:
             # Present but misplaced fails; absent skips.  Literals are
             # always present (their own anchor is a required text).
-            span = missed[~literal[missed]]
+            span = missed[~tables.literal[edge[missed]]]
             absent = span[
                 self._match_lengths(offset[span], length[span]) < length[span]
             ]

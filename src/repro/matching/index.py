@@ -42,7 +42,8 @@ the executable spec the numpy tier reproduces value for value.
 
 :class:`ValueIndex` applies the same packed-postings idea to exact values
 (whole cells instead of n-grams); the transformation joiner uses it as its
-equi-join target map.
+equi-join target map, and under the numpy tier as the home of the join
+kernel's hashed target table.
 """
 
 from __future__ import annotations
@@ -52,6 +53,7 @@ from collections.abc import Sequence
 from typing import Any, Final
 
 from repro.kernels import numpy_or_none
+from repro.kernels.apply import JoinTable
 from repro.kernels.ngrams import (
     GramTable,
     Representatives,
@@ -396,12 +398,21 @@ class ValueIndex:
     whole cell values.  The transformation joiner uses it as its equi-join
     target map: probing a transformed source value returns the matching
     target rows without any copying.
+
+    Under the numpy kernel tier, :meth:`build` builds the join kernel's
+    hashed :class:`~repro.kernels.apply.JoinTable` instead (see
+    :meth:`join_table`), and the postings wait until the string API —
+    :meth:`rows_for`, ``in``, :attr:`num_values` — first needs them.  Both
+    are built at most once per index, so every cache that keeps an index
+    warm keeps them warm too.
     """
 
-    __slots__ = ("_postings", "_num_rows", "_lowercase")
+    __slots__ = ("_values", "_postings", "_table", "_num_rows", "_lowercase")
 
     def __init__(self, *, lowercase: bool = False) -> None:
-        self._postings: dict[str, array] = {}
+        self._values: Sequence[str] = ()
+        self._postings: dict[str, array] | None = {}
+        self._table: JoinTable | None = None
         self._num_rows = 0
         self._lowercase = lowercase
 
@@ -411,17 +422,48 @@ class ValueIndex:
     ) -> "ValueIndex":
         """Index every value of *values* (row ids are their positions)."""
         index = cls(lowercase=lowercase)
-        postings = index._postings
-        if lowercase:
-            values = [value.lower() for value in values]
-        for row_id, value in enumerate(values):
-            arr = postings.get(value)
-            if arr is None:
-                postings[value] = array("i", (row_id,))
-            else:
-                arr.append(row_id)
+        index._values = (
+            [value.lower() for value in values] if lowercase else tuple(values)
+        )
         index._num_rows = len(values)
+        index._postings = None
+        if numpy_or_none() is not None:
+            index.join_table()
+        else:
+            index._postings_table()
         return index
+
+    def _postings_table(self) -> dict[str, array]:
+        """The postings, built on first use.
+
+        Indexes are shared across server threads without a lock: threads
+        racing here build equal dicts, and whichever assignment lands last
+        wins (the same holds for :meth:`join_table`).
+        """
+        postings = self._postings
+        if postings is None:
+            postings = {}
+            for row_id, value in enumerate(self._values):
+                arr = postings.get(value)
+                if arr is None:
+                    postings[value] = array("i", (row_id,))
+                else:
+                    arr.append(row_id)
+            self._postings = postings
+        return postings
+
+    def join_table(self) -> JoinTable | None:
+        """The join kernel's hashed table of the values, built on first use.
+
+        ``None`` for a case-folding index: it lower-cases each probe, which
+        a table of exact code points cannot do.
+        """
+        if self._lowercase:
+            return None
+        table = self._table
+        if table is None:
+            table = self._table = JoinTable(self._values)
+        return table
 
     @property
     def num_rows(self) -> int:
@@ -431,17 +473,17 @@ class ValueIndex:
     @property
     def num_values(self) -> int:
         """Number of distinct values."""
-        return len(self._postings)
+        return len(self._postings_table())
 
     def rows_for(self, value: str) -> Sequence[int]:
         """Row ids holding exactly *value* (sorted; the stored array, no copy)."""
         if self._lowercase:
             value = value.lower()
-        return self._postings.get(value, _EMPTY_POSTINGS)
+        return self._postings_table().get(value, _EMPTY_POSTINGS)
 
     def __contains__(self, value: object) -> bool:
         if not isinstance(value, str):
             return False
         if self._lowercase:
             value = value.lower()
-        return value in self._postings
+        return value in self._postings_table()

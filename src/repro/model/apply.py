@@ -26,17 +26,27 @@ depth-first descent accumulating concatenated output strings, and its
 results are exactly ``transformation.apply(value)`` for every pair — the
 property tests assert that equivalence against the reference loop.
 
-Every structure is per-row, so the kernel shards exactly like the coverage
+Every structure is per-row, so the walk shards exactly like the coverage
 kernel: :func:`repro.parallel.transform.sharded_transform` splits the rows
 across a :class:`~repro.parallel.executor.ShardedExecutor` sharing the
 frozen trie and concatenates shard outputs in order, byte-identical to the
 serial walk.
+
+The joiner does not need the transformed strings, only which target rows
+they equal.  Under the numpy kernel tier, :meth:`TransformationApplier.join_rows`
+runs the fused apply-and-probe kernel of :mod:`repro.kernels.apply` instead
+— same trie, outputs carried as hashes over code points and verified
+against the target — and shards it the same way
+(:func:`repro.parallel.transform.sharded_join`).  This walker stays the
+executable spec, the Python tier's join path and the engine of
+:meth:`TransformationApplier.transform_rows` on both tiers.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 from time import monotonic
+from typing import TYPE_CHECKING, Any
 
 from repro.core.coverage import (
     _OP_LITERAL,
@@ -50,6 +60,9 @@ from repro.core.coverage import (
 from repro.core.transformation import Transformation
 from repro.parallel.errors import DeadlineExceededError
 from repro.parallel.executor import tuned_num_workers
+
+if TYPE_CHECKING:
+    from repro.kernels.apply import JoinTable
 
 #: Row-block granularity of the cooperative deadline checks: with a
 #: deadline set, the walk dispatches one block at a time and checks the
@@ -76,11 +89,6 @@ def transform_trie_rows(
     are absent (exactly the rows where ``Transformation.apply`` returns
     ``None``).
 
-    Under the numpy kernel tier (see :mod:`repro.kernels`) batches large
-    enough to amortize array setup run the vectorized walker of
-    :mod:`repro.kernels.apply`; serve-style micro-batches and the pure
-    Python tier take the loop below.  Results are equal either way.
-
     ``deadline`` (a ``time.monotonic()`` timestamp; ``CLOCK_MONOTONIC`` is
     system-wide, so sharded workers can honour a deadline computed in the
     parent) bounds the walk cooperatively at
@@ -93,7 +101,7 @@ def transform_trie_rows(
     byte-identical to an unbounded run.
     """
     if deadline is None:
-        return _dispatch_trie_rows(values, row_offset, trie)
+        return _transform_trie_rows_python(values, row_offset, trie)
     outputs: dict[int, list[tuple[int, str]]] = {}
     total = len(values)
     for start in range(0, total, _DEADLINE_BLOCK_ROWS):
@@ -101,7 +109,7 @@ def transform_trie_rows(
             raise DeadlineExceededError(
                 f"apply deadline expired after {start} of {total} rows"
             )
-        block = _dispatch_trie_rows(
+        block = _transform_trie_rows_python(
             values[start : start + _DEADLINE_BLOCK_ROWS],
             row_offset + start,
             trie,
@@ -118,33 +126,13 @@ def transform_trie_rows(
     return outputs
 
 
-def _dispatch_trie_rows(
-    values: Sequence[str],
-    row_offset: int,
-    trie: PackedTrie,
-) -> dict[int, list[tuple[int, str]]]:
-    """Run one batch through the kernel tier's walker (no deadline logic)."""
-    from repro import kernels  # noqa: PLC0415
-
-    if kernels.active_tier() == "numpy":
-        from repro.kernels.apply import (  # noqa: PLC0415
-            _APPLY_MIN_ROWS,
-            available,
-            transform_trie_rows_numpy,
-        )
-
-        if len(values) >= _APPLY_MIN_ROWS and available():
-            return transform_trie_rows_numpy(values, row_offset, trie)
-    return _transform_trie_rows_python(values, row_offset, trie)
-
-
 def _transform_trie_rows_python(
     values: Sequence[str],
     row_offset: int,
     trie: PackedTrie,
 ) -> dict[int, list[tuple[int, str]]]:
-    """The reference per-row apply walk — the executable spec both kernel
-    tiers must match (the property tests pin both to
+    """The reference per-row apply walk — the executable spec the join
+    kernel must match (the property tests pin it to
     ``Transformation.apply``)."""
     outputs: dict[int, list[tuple[int, str]]] = {}
     num_units = trie.num_units
@@ -271,6 +259,8 @@ class TransformationApplier:
             if self._transformations
             else None
         )
+        #: The join kernel's tables of the trie, built on first join.
+        self._spans: Any = None
 
     @property
     def transformations(self) -> list[Transformation]:
@@ -328,6 +318,53 @@ class TransformationApplier:
                 deadline=deadline,
             )
         return transform_trie_rows(values, 0, self._trie, deadline=deadline)
+
+    def join_rows(
+        self,
+        values: Sequence[str],
+        table: "JoinTable",
+        *,
+        num_workers: int = 1,
+        min_rows_per_worker: int | None = None,
+        task_timeout: float | None = None,
+        shard_retries: int = 2,
+        serial_fallback: bool = True,
+        deadline: float | None = None,
+    ) -> tuple[Any, Any, Any]:
+        """Every (transformation index, row, target row) where the
+        transformation maps ``values[row]`` to the target row's value.
+
+        The numpy-tier join: three ``int64`` arrays in no set order, from
+        the fused kernel of :mod:`repro.kernels.apply` over the target's
+        :class:`~repro.kernels.apply.JoinTable`.  Sharding, fault tolerance
+        and the deadline work as in :meth:`transform_rows`.
+        """
+        from repro.kernels.apply import join_trie_rows, trie_spans
+
+        if self._trie is None:
+            values = ()  # nothing to apply: the kernel finds no triples
+        elif self._spans is None:
+            self._spans = trie_spans(self._trie)
+        spans = self._spans
+        workers = tuned_num_workers(
+            num_workers,
+            len(values),
+            min_items_per_worker=min_rows_per_worker,
+        )
+        if workers > 1:
+            from repro.parallel.transform import sharded_join
+
+            return sharded_join(
+                values,
+                spans,
+                table,
+                num_workers=workers,
+                task_timeout=task_timeout,
+                max_shard_retries=shard_retries,
+                serial_fallback=serial_fallback,
+                deadline=deadline,
+            )
+        return join_trie_rows(values, 0, spans, table, deadline=deadline)
 
     def apply_all(
         self,

@@ -30,8 +30,9 @@ from __future__ import annotations
 class DeadlineExceededError(RuntimeError):
     """A cooperative wall-clock deadline expired inside a batched walk.
 
-    Raised by the apply walker's blocked deadline checks (see
-    :func:`repro.model.apply.transform_trie_rows`) when the caller-supplied
+    Raised by the apply walkers' blocked deadline checks (see
+    :func:`repro.model.apply.transform_trie_rows` and
+    :func:`repro.kernels.apply.join_trie_rows`) when the caller-supplied
     ``time.monotonic()`` deadline passes — inside a pool worker or in the
     serial path alike.  Unlike :class:`ShardTimeoutError` (the *parent*
     noticing a shard missed the map deadline), this is the *worker itself*

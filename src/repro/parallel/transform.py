@@ -14,11 +14,20 @@ The merge is order-preserving: shard results come back in ascending shard
 order and each transformation's ``(row, output)`` list is extended shard by
 shard, so the merged per-transformation outputs are in the same ascending
 row order as the serial kernel — byte-identical results, any worker count.
+
+:func:`sharded_join` shards the numpy tier's fused join kernel
+(:func:`~repro.kernels.apply.join_trie_rows`) the same way: the state also
+carries the kernel's trie tables and the target's
+:class:`~repro.kernels.apply.JoinTable`, and each shard returns its
+(transformation, row, target row) triples as three int arrays — no
+transformed string crosses a process boundary.  The joiner orders the
+concatenated triples, so the shard order does not matter.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
+from typing import Any
 
 from repro.core.coverage import PackedTrie
 from repro.model.apply import transform_trie_rows
@@ -30,7 +39,8 @@ from repro.parallel.executor import (
 
 
 class TransformShardState:
-    """Read-only state shared with transform workers: values + frozen trie.
+    """Read-only state shared with transform workers: values + frozen trie
+    (or, for a join, the kernel's trie tables) + the join's target table.
 
     ``deadline`` is an optional ``time.monotonic()`` timestamp computed in
     the parent; ``CLOCK_MONOTONIC`` is system-wide, so workers compare it
@@ -38,23 +48,25 @@ class TransformShardState:
     boundary (see :func:`~repro.model.apply.transform_trie_rows`).
     """
 
-    __slots__ = ("values", "trie", "deadline")
+    __slots__ = ("values", "trie", "deadline", "table")
 
     def __init__(
         self,
         values: list[str],
-        trie: PackedTrie,
+        trie: Any,
         deadline: float | None = None,
+        table: Any = None,
     ) -> None:
         self.values = values
         self.trie = trie
         self.deadline = deadline
+        self.table = table
 
     def __getstate__(self):
-        return (self.values, self.trie, self.deadline)
+        return (self.values, self.trie, self.deadline, self.table)
 
     def __setstate__(self, state) -> None:
-        self.values, self.trie, self.deadline = state
+        self.values, self.trie, self.deadline, self.table = state
 
 
 def _transform_worker(start: int, stop: int) -> dict[int, list[tuple[int, str]]]:
@@ -62,6 +74,20 @@ def _transform_worker(start: int, stop: int) -> dict[int, list[tuple[int, str]]]
     state: TransformShardState = worker_state()
     return transform_trie_rows(
         state.values[start:stop], start, state.trie, deadline=state.deadline
+    )
+
+
+def _join_worker(start: int, stop: int) -> tuple[Any, Any, Any]:
+    """Join the shared values in ``[start, stop)`` (global row ids)."""
+    from repro.kernels.apply import join_trie_rows
+
+    state: TransformShardState = worker_state()
+    return join_trie_rows(
+        state.values[start:stop],
+        start,
+        state.trie,
+        state.table,
+        deadline=state.deadline,
     )
 
 
@@ -110,4 +136,30 @@ def sharded_transform(
     return outputs
 
 
-__all__ = ["TransformShardState", "sharded_transform"]
+def sharded_join(
+    values: Sequence[str],
+    tables: Any,
+    table: Any,
+    *,
+    deadline: float | None = None,
+    **executor_options: Any,
+) -> tuple[Any, Any, Any]:
+    """The fused join kernel over *values*, sharded by row.
+
+    *tables* are the kernel's trie tables
+    (:func:`~repro.kernels.apply.trie_spans`) and *table* the target's
+    :class:`~repro.kernels.apply.JoinTable`; *executor_options*
+    (``num_workers``, ``task_timeout``, ``max_shard_retries``, ...) go to
+    the :class:`~repro.parallel.executor.ShardedExecutor`.  Returns the
+    triples of :func:`~repro.kernels.apply.join_trie_rows` over all rows;
+    the deadline works as in :func:`sharded_transform`.
+    """
+    from repro.kernels.apply import concatenate_triples
+
+    state = TransformShardState(list(values), tables, deadline, table)
+    with ShardedExecutor(state, **executor_options) as executor:
+        shards = executor.map_shards(_join_worker, len(state.values))
+    return concatenate_triples(shards)
+
+
+__all__ = ["TransformShardState", "sharded_join", "sharded_transform"]

@@ -102,8 +102,7 @@ def write_csv(table: Table, path: str | Path) -> None:
     with path.open("w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(table.column_names)
-        for row in table.rows():
-            writer.writerow(row.as_tuple(table.column_names))
+        writer.writerows(zip(*(table[name].values for name in table.column_names)))
 
 
 def read_table_pair(

@@ -6,10 +6,10 @@ approximate, at three levels:
 
 * **op level** — every py/np dual in :mod:`repro.kernels.bitset` computes
   equal values on randomized inputs;
-* **walker level** — the numpy apply walker returns the same ``(row,
-  output)`` pairs as the reference, pinned to ``Transformation.apply`` row
-  by row (the coverage kernel has its own differential suite,
-  ``test_property_coverage_kernel.py``);
+* **walker level** — the per-row apply walker is pinned to
+  ``Transformation.apply`` row by row (the fused join kernel and the
+  coverage kernel have their own differential suites,
+  ``test_property_join_kernel.py`` and ``test_property_coverage_kernel.py``);
 * **engine level** — ``CoverageComputer`` produces identical coverage
   under ``use_tier("python")`` and ``use_tier("numpy")`` across worker
   counts {1, 2, 3}.  The n-gram matching kernels have their own
@@ -126,29 +126,27 @@ def test_bitset_dispatchers_roundtrip_on_active_tier(row_sets):
 # --------------------------------------------------------------------------
 
 
-@needs_numpy
 @settings(deadline=None, max_examples=60)
 @given(
     values=st.lists(CELL, max_size=12),
     transformations=TRANSFORMATIONS,
     row_offset=st.sampled_from([0, 5]),
 )
-def test_apply_walker_identical_and_pinned_to_apply(
-    values, transformations, row_offset
-):
-    from repro.kernels.apply import available, transform_trie_rows_numpy
+def test_apply_walker_pinned_to_apply(values, transformations, row_offset):
+    from time import monotonic
 
-    if not available():
-        pytest.skip("numpy apply walker not available")
+    from repro.model.apply import transform_trie_rows
+
     trie = _build_unit_trie(transformations)
-    reference = _transform_trie_rows_python(values, row_offset, trie)
-    vectorized = transform_trie_rows_numpy(values, row_offset, trie)
-    assert vectorized == reference
-    # Both walkers are pinned to the unbatched public semantics: entry
-    # (index, row, output) exists iff transformations[index].apply of that
-    # row's value returns output (None = row absent).
+    outputs = _transform_trie_rows_python(values, row_offset, trie)
+    # The deadline-bounded walk goes block by block: same outputs.
+    assert transform_trie_rows(
+        values, row_offset, trie, deadline=monotonic() + 3600
+    ) == outputs
+    # Entry (index, row, output) exists iff transformations[index].apply of
+    # that row's value returns output (None = row absent).
     for index, transformation in enumerate(transformations):
-        produced = dict(reference.get(index, []))
+        produced = dict(outputs.get(index, []))
         for slot, value in enumerate(values):
             expected = transformation.apply(value)
             assert produced.get(row_offset + slot) == expected

@@ -6,8 +6,8 @@ Four surfaces live here:
   cases, and the write-through/restore behaviour of ``use_tier``;
 * fixed-case checks of every py/np op pair in :mod:`repro.kernels.bitset`
   (the randomized sweeps live in ``tests/property/test_property_kernels.py``);
-* fixed-case checks of the coverage kernel's array helpers and of the
-  lone-surrogate fallbacks;
+* fixed-case checks of the coverage kernel's array helpers and of joins
+  holding lone surrogates;
 * the plumbing that keeps benchmarks honest about the tier — the
   tier-aware worker tuning, the BENCH host block, the mixed-tier
   comparison rejection, and the ``--kernels`` CLI flags.
@@ -101,53 +101,64 @@ class TestTierResolution:
 
 
 class TestLoneSurrogates:
-    """Values ``StringDType`` cannot hold (lone surrogates) are walked by
-    the spec, so the numpy tier gives the Python tier's result."""
+    """Lone surrogates are ordinary code points to the join kernel
+    (UTF-32 with ``surrogatepass``): joins holding them in the source, a
+    literal or the target give the Python tier's pairs."""
 
-    # 100 rows: above the apply kernel's micro-batch cutoff.
+    # 100 rows: above the join kernel's micro-batch cutoff.
     SOURCES = [f"Smi\udcff, John{i}" for i in range(100)] + ["Doe, Jane"]
 
     @staticmethod
-    def _tiers():
-        return ["python"] + (["numpy"] if kernels.numpy_or_none() else [])
+    def _joins(transformations, sources, targets):
+        from repro.join.joiner import TransformationJoiner
+
+        tiers = ["python"] + (["numpy"] if kernels.numpy_or_none() else [])
+        results = []
+        for tier in tiers:
+            with kernels.use_tier(tier):
+                result = TransformationJoiner(transformations).join_values(
+                    sources, targets
+                )
+            results.append((result.pairs, result.matched_by))
+        assert all(result == results[0] for result in results)
+        return results[0][0]
 
     def test_join_values_with_surrogate_sources(self):
         from repro.core.transformation import Transformation
         from repro.core.units import Literal, SplitSubstr
-        from repro.join.joiner import TransformationJoiner
 
         transformation = Transformation(
             [SplitSubstr(" ", 2, 0, 1), Literal(". "), SplitSubstr(",", 1, 0, 3)]
         )
-        joined = []
-        for tier in self._tiers():
-            with kernels.use_tier(tier):
-                joiner = TransformationJoiner([transformation])
-                joined.append(
-                    sorted(joiner.join_values(self.SOURCES, ["J. Smi", "J. Doe"]).pairs)
-                )
-        assert joined[0] == [(row, 0) for row in range(100)] + [(100, 1)]
-        assert all(pairs == joined[0] for pairs in joined)
+        pairs = self._joins([transformation], self.SOURCES, ["J. Smi", "J. Doe"])
+        assert sorted(pairs) == [(row, 0) for row in range(100)] + [(100, 1)]
 
-    def test_apply_walk_with_surrogate_literal(self):
-        from repro.core.coverage import _build_unit_trie
+    def test_join_with_surrogate_literal(self):
         from repro.core.transformation import Transformation
         from repro.core.units import Literal, Split
-        from repro.model.apply import transform_trie_rows
 
-        trie = _build_unit_trie(
-            [
-                Transformation([Literal("\udcff"), Split(",", 1)]),
-                Transformation([Split(",", 2)]),
+        transformations = [
+            Transformation([Literal("\udcff"), Split(",", 1)]),
+            Transformation([Split(",", 2)]),
+        ]
+        sources = [value.replace("\udcff", "") for value in self.SOURCES]
+        pairs = self._joins(transformations, sources, ["\udcffSmi", " Jane"])
+        assert pairs == [(row, 0) for row in range(100)] + [(100, 1)]
+
+    def test_join_with_surrogate_target(self):
+        from repro.core.transformation import Transformation
+        from repro.core.units import Substr
+
+        # Substr(0, 4) of the first 100 sources is "Smi\udcff".
+        targets = ["Smi\udcff", "ab\udcff", "Smi\udcff"]
+        for sources in (self.SOURCES, self.SOURCES[:3]):
+            pairs = self._joins(
+                [Transformation([Substr(0, 4)])], sources, targets
+            )
+            assert pairs == [
+                (row, target) for row in range(len(sources)) for target in (0, 2)
+                if row < 100
             ]
-        )
-        values = [value.replace("\udcff", "") for value in self.SOURCES]
-        outputs = []
-        for tier in self._tiers():
-            with kernels.use_tier(tier):
-                outputs.append(transform_trie_rows(values, 0, trie))
-        assert outputs[0][0][0] == (0, "\udcffSmi")
-        assert all(output == outputs[0] for output in outputs)
 
 
 class TestCoverageKernelHelpers:

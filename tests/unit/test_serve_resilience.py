@@ -462,6 +462,26 @@ class TestRequestParsing:
         assert "breakers" in payload["engine"]
 
 
+@pytest.mark.parametrize("rows", [3, 80])
+def test_lone_surrogate_target_is_served(fitted_model, tmp_path, rows):
+    """A lone surrogate in the target (``json.loads`` makes one from a
+    ``"\\udcff"`` escape) is served like any other value: 200 and the
+    offline pairs, on the per-row path (3 rows) and the kernel path (80)."""
+    pair, model = fitted_model
+    model.save(tmp_path / "synth.json")
+    source = list(pair.source["value"])[:rows]
+    target = list(pair.target["value"])[:rows] + ["a\udcff", source[0] + "\udcff"]
+    source[1] += "\udcff"
+    expected = model.joiner().join_values(source, target).pairs
+    assert expected
+    body = json.dumps({"source": source, "target": target}).encode()
+    with JoinServer(tmp_path, port=0) as server:
+        server.start_background()
+        status, payload, _ = _post(server, "synth", body)
+    assert status == 200
+    assert [tuple(pair) for pair in payload["pairs"]] == expected
+
+
 # --------------------------------------------------------------------- #
 # Latency window stays bounded
 # --------------------------------------------------------------------- #
